@@ -17,6 +17,7 @@ fixed precision, so nothing ever materializes the exact binomial.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,17 +142,36 @@ def _check_pair(a: int, b: int) -> None:
         )
 
 
+# Blocks whose precision p**e is at most this use a prefix table of the
+# p-free factorials mod p**e: 4 bytes an entry, so 64 KiB at the budget
+# and at most 512 KiB across the cached tables.  Larger blocks (p > 2**14
+# at e = 1, p > 128 at e = 2) keep the multiplicative loop.
+_TABLE_BUDGET = 1 << 14
+
+
 def exact_binom_mod(a: int, b: int, p: int, e: int) -> ValuedUnit:
     """C(a, b) as p**v times a unit known mod p**e.
 
-    Runs the multiplicative formula prod_{i=1..b} (a-b+i)/i, stripping
-    p-powers from every term and accumulating the unit parts mod p**e;
-    cost is O(min(b, a-b)) multiplications.
+    When p**e <= 2**14 it uses Granville's factorial formula over a
+    prefix table of the p-free factorials mod p**e, built once per
+    (p, e); each call then costs O(log_p a) table lookups.  Above that
+    budget it runs the multiplicative formula prod_{i=1..b} (a-b+i)/i at
+    O(min(b, a-b)) multiplications.
     """
     _check_pair(a, b)
     ensure_prime(p)
     if e < 1:
         raise ValueError("precision e must be >= 1")
+    if p**e <= _TABLE_BUDGET:
+        v, unit = _binom_table(a, b, p, e)
+    else:
+        v, unit = _binom_loop(a, b, p, e)
+    return ValuedUnit(p, v, unit, e)
+
+
+def _binom_loop(a: int, b: int, p: int, e: int) -> tuple[int, int]:
+    # (v, unit) of C(a, b): strip p from every term of the product and
+    # accumulate the unit parts mod p**e.
     if b > a - b:
         b = a - b
     pe = p**e
@@ -169,8 +189,50 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> ValuedUnit:
             s //= p
             v -= 1
         den = den * (s % pe) % pe
-    unit = num * pow(den, -1, pe) % pe
-    return ValuedUnit(p, v, unit, e)
+    return v, num * pow(den, -1, pe) % pe
+
+
+@lru_cache(maxsize=8)
+def _unit_factorials(p: int, e: int) -> array:
+    """T[r] = product of the k <= r prime to p, mod p**e, for r < p**e."""
+    pe = p**e
+    table = array("I", [1]) * pe
+    acc = 1
+    for k in range(1, pe):
+        if k % p:
+            acc = acc * k % pe
+        table[k] = acc
+    return table
+
+
+def _binom_table(a: int, b: int, p: int, e: int) -> tuple[int, int]:
+    # a!/p**v(a!) = prod_j (floor(a/p**j)!)_p, and (x!)_p = s**q * T[r]
+    # with q, r = divmod(x, p**e), where s = -1 is the product of the
+    # units mod p**e (+1 for p = 2, e >= 3).  Writing a_j for
+    # floor(a/p**j) and c = a - b, the borrow d_j = a_j - b_j - c_j is 0
+    # or 1; v = sum_{j>=1} d_j (Kummer), and the exponent of s, the sum
+    # over j of q(a_j) - q(b_j) - q(c_j) with q(x) = floor(x/p**e), is
+    # sum_{j>=e} d_j.  Once one of b_j, c_j is 0 and the other equals
+    # a_j, every higher level cancels.
+    pe = p**e
+    t = _unit_factorials(p, e)
+    c = a - b
+    v = wraps = level = 0
+    num = den = 1
+    while (b and c) or a != b + c:
+        num = num * t[a % pe] % pe
+        den = den * t[b % pe] * t[c % pe] % pe
+        a //= p
+        b //= p
+        c //= p
+        d = a - b - c
+        v += d
+        level += 1
+        if level >= e:
+            wraps += d
+    if wraps & 1 and not (p == 2 and e >= 3):
+        num = pe - num
+    return v, num * pow(den, -1, pe) % pe
 
 
 @lru_cache(maxsize=1 << 18)
@@ -258,19 +320,19 @@ def _theorem_unit(e: PseudoExpansion, n: int) -> tuple[int, int]:
     nav, nbv = _block_values(e, max(d - n + 1, 0), n)
     acc = _binom_vu(nav, nbv, p, n)
     total = acc.valuation
-    unit = acc.unit
+    num_unit = acc.unit
+    den_unit = 1
     for i in range(d - n, -1, -1):
         nav, nbv = _block_values(e, i, n)
         nv = _binom_vu(nav, nbv, p, n)
-        if n == 1:
-            total += nv.valuation
-            unit = unit * nv.unit % pe
-        else:
+        total += nv.valuation
+        num_unit = num_unit * nv.unit % pe
+        if n > 1:
             dav, dbv = _block_values(e, i + 1, n - 1)
             dv = _binom_vu(dav, dbv, p, n)
-            total += nv.valuation - dv.valuation
-            unit = unit * nv.unit * pow(dv.unit, -1, pe) % pe
-    return total, unit
+            total -= dv.valuation
+            den_unit = den_unit * dv.unit % pe
+    return total, num_unit * pow(den_unit, -1, pe) % pe
 
 
 def theorem_evaluate(
@@ -342,16 +404,25 @@ def lucas_evaluate(A: int, B: int, p: int) -> int:
 
 @lru_cache(maxsize=1 << 18)
 def _dw_bracket(adigits: tuple[int, ...], bdigits: tuple[int, ...], p: int, e: int) -> ValuedUnit:
+    # Strip top digits while the A side is below the B side, paying a
+    # factor p for each.  Equal blocks take the binomial branch too: they
+    # produce no borrows, so paying a factor p there would break the
+    # congruence.
     av = _value_of(adigits, p)
     bv = _value_of(bdigits, p)
-    if av >= bv:
-        # Equal blocks take the binomial branch too: they produce no
-        # borrows, so paying a factor p here would break the congruence.
-        return _binom_vu(av, bv, p, e)
-    if len(adigits) == 1:
-        return ValuedUnit(p, 1, 1, e)
-    inner = _dw_bracket(adigits[:-1], bdigits[:-1], p, e)
-    return ValuedUnit(p, inner.valuation + 1, inner.unit, e)
+    pk = p ** len(adigits)
+    stripped = 0
+    while av < bv:
+        stripped += 1
+        pk //= p
+        if pk == 1:
+            return ValuedUnit(p, stripped, 1, e)
+        av %= pk
+        bv %= pk
+    inner = _binom_vu(av, bv, p, e)
+    if not stripped:
+        return inner
+    return ValuedUnit(p, inner.valuation + stripped, inner.unit, e)
 
 
 def dw_bracket(ablock: DigitString, bblock: DigitString, p: int, e: int) -> ValuedUnit:

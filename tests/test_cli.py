@@ -151,6 +151,17 @@ class TestCompare:
         assert "exact: skipped" in out
         assert "AGREE" in out
 
+    def test_long_top_digit_stripping(self, capsys):
+        # The Davis-Webb bracket strips all 1200 top digits of this pair;
+        # stripping by recursion died with a RecursionError and exit 1.
+        code, out, err = run(
+            capsys, "compare", "--prime", "3", "--mod-exp", "1200",
+            "1" + "0" * 1200, "2" * 1200,
+        )
+        assert code == 0
+        assert "AGREE" in out
+        assert "Traceback" not in out + err
+
     def test_corrupted_engine_disagrees(self, capsys, monkeypatch):
         original = engine.theorem_evaluate
 

@@ -1,9 +1,11 @@
 """Evaluator correctness: valued units, block products, brackets, Lucas."""
 
 import math
+import random
 
 import pytest
 
+from ppbinom import engine
 from ppbinom.digits import parse_digits, parse_natural
 from ppbinom.engine import (
     ValuedUnit,
@@ -32,6 +34,15 @@ A3 = parse_natural("1221121202", 3)
 B3 = parse_natural("1011012021", 3)
 A8 = parse_natural("21202112", 3)
 B8 = parse_natural("12021110", 3)
+
+
+def split_p(c, p, pe):
+    """(v_p(c), the unit part of c mod pe) for c > 0."""
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v, c % pe
 
 
 def xgcd(a, b):
@@ -126,27 +137,44 @@ class TestExactBinomMod:
         assert (vu.valuation, vu.unit) == (0, 1)
 
     def test_against_comb_sweep(self):
-        for p, e in ((2, 3), (3, 2), (5, 1), (7, 4)):
+        # Both paths, at p**e within the table budget; p = 2 with e >= 3
+        # has Wilson sign +1, every other case -1.
+        cases = [(2, e) for e in range(1, 8)] + [(3, e) for e in range(1, 6)]
+        cases += [(p, e) for p in (5, 7) for e in range(1, 4)] + [(7, 4)]
+        for p, e in cases:
             pe = p**e
-            for a in range(40):
+            assert pe <= engine._TABLE_BUDGET
+            for a in range(100):
                 for b in range(a + 1):
+                    want = split_p(math.comb(a, b), p, pe)
                     vu = exact_binom_mod(a, b, p, e)
-                    c = math.comb(a, b)
-                    v = 0
-                    while c % p == 0:
-                        c //= p
-                        v += 1
-                    assert vu.valuation == v
-                    assert vu.unit == c % pe
+                    assert (vu.valuation, vu.unit) == want
+                    assert engine._binom_loop(a, b, p, e) == want
 
     def test_large_symmetric(self):
         vu = exact_binom_mod(10**6, 10**6 - 3, 5, 4)
-        c = math.comb(10**6, 3)
-        v = 0
-        while c % 5 == 0:
-            c //= 5
-            v += 1
-        assert (vu.valuation, vu.unit) == (v, c % 5**4)
+        assert (vu.valuation, vu.unit) == split_p(math.comb(10**6, 3), 5, 5**4)
+
+    def test_table_path_against_loop(self):
+        rng = random.Random(20250226)
+        for _ in range(3000):
+            p = rng.choice((2, 3, 5, 7, 11, 13, 127))
+            e = rng.randrange(1, 15)
+            while p**e > engine._TABLE_BUDGET:
+                e -= 1
+            a = rng.randrange(10**6)
+            # Keep min(b, a - b) small so the loop stays cheap.
+            k = rng.randrange(min(a, 3000) + 1)
+            b = rng.choice((k, a - k))
+            assert engine._binom_table(a, b, p, e) == engine._binom_loop(a, b, p, e)
+
+    def test_over_budget_builds_no_table(self):
+        for a, b, p, e in ((1009**2 + 12345, 17, 1009, 2), (1000020, 1000010, 1000003, 1)):
+            assert p**e > engine._TABLE_BUDGET
+            before = engine._unit_factorials.cache_info()
+            vu = exact_binom_mod(a, b, p, e)
+            assert engine._unit_factorials.cache_info() == before
+            assert (vu.valuation, vu.unit) == split_p(math.comb(a, b), p, p**e)
 
     def test_errors(self):
         with pytest.raises(OrderViolation):
@@ -312,6 +340,14 @@ class TestDwBracket:
         a = parse_digits("102", 3)
         vu = dw_bracket(a, a, 3, 4)
         assert (vu.valuation, vu.unit) == (0, 1)
+
+    def test_long_descent(self):
+        # 1200 stripped top digits leave the bare factor p**1200.
+        a = parse_digits("1" + "0" * 1199, 3)
+        b = parse_digits("2" * 1200, 3)
+        vu = dw_bracket(a, b, 3, 1200)
+        assert (vu.valuation, vu.unit) == (1200, 1)
+        assert davis_webb_evaluate(3**1200, 3**1200 - 1, 3, 1201)[0] == 3**1200
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
