@@ -9,7 +9,6 @@ digit-window bracket method and naive oracles.
 from . import errors
 from .digits import (
     DigitString,
-    concat_value,
     ensure_prime,
     from_base_p,
     is_prime,
@@ -36,7 +35,6 @@ from .engine import (
 from .oracle import binom_exact, binom_mod_pascal, kummer_valuation, pascal_rows
 from .pseudo import (
     PseudoExpansion,
-    PseudoPair,
     block,
     block_valuation,
     decompose,
@@ -53,10 +51,8 @@ __all__ = [
     "to_base_p",
     "from_base_p",
     "subtract_with_borrows",
-    "concat_value",
     "is_prime",
     "ensure_prime",
-    "PseudoPair",
     "PseudoExpansion",
     "decompose",
     "pseudo_valuation",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DigitOutOfRange,
@@ -30,7 +30,6 @@ __all__ = [
     "to_base_p",
     "from_base_p",
     "subtract_with_borrows",
-    "concat_value",
     "is_prime",
     "ensure_prime",
 ]
@@ -92,8 +91,7 @@ class DigitString:
     ``padded`` marks strings whose most-significant zeros are significant
     (fixed-width blocks); canonical strings carry no leading zeros unless
     the value itself is zero.  Constructors assume digits already lie in
-    0..base-1; use the parse/convert functions for untrusted input, or
-    call :meth:`validate`.
+    0..base-1; use the parse/convert functions for untrusted input.
     """
 
     digits: tuple[int, ...]
@@ -106,15 +104,6 @@ class DigitString:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
 
-    def validate(self) -> "DigitString":
-        """Check the full type invariants; returns self for chaining."""
-        for d in self.digits:
-            if d < 0 or d >= self.base:
-                raise DigitOutOfRange(f"digit {d} out of range for base {self.base}")
-        if not self.padded and len(self.digits) > 1 and self.digits[-1] == 0:
-            raise ValueError("unpadded digit string has a leading zero")
-        return self
-
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -124,22 +113,6 @@ class DigitString:
     @property
     def value(self) -> int:
         return _value_of(self.digits, self.base)
-
-    def pad_to(self, length: int) -> "DigitString":
-        """Extend with most-significant zeros up to ``length``."""
-        if length <= len(self.digits):
-            return self
-        return DigitString(
-            self.digits + (0,) * (length - len(self.digits)), self.base, padded=True
-        )
-
-    def trimmed(self) -> "DigitString":
-        """Canonical form: leading zeros stripped (value 0 keeps one digit)."""
-        digits = self.digits
-        n = len(digits)
-        while n > 1 and digits[n - 1] == 0:
-            n -= 1
-        return DigitString(digits[:n], self.base)
 
 
 @lru_cache(maxsize=64)
@@ -275,22 +248,3 @@ def subtract_with_borrows(
     while n > 1 and out[n - 1] == 0:
         n -= 1
     return DigitString(tuple(out[:n]), p), borrows
-
-
-def concat_value(blocks: Iterable[DigitString]) -> DigitString:
-    """Concatenate digit strings, block 0 least significant.
-
-    Every block contributes its full (possibly padded) width, so leading
-    zeros inside a block stay significant.
-    """
-    blocks = list(blocks)
-    if not blocks:
-        raise EmptyInput("no blocks to concatenate")
-    base = blocks[0].base
-    digits: list[int] = []
-    for blk in blocks:
-        if blk.base != base:
-            raise MixedBase(f"block base {blk.base} differs from {base}")
-        digits.extend(blk.digits)
-    padded = len(digits) > 1 and digits[-1] == 0
-    return DigitString(tuple(digits), base, padded=padded)

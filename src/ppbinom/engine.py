@@ -18,6 +18,7 @@ fixed precision, so nothing ever materializes the exact binomial.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,9 +29,10 @@ from .errors import (
     NegativeValuation,
     OrderViolation,
     PrecisionMismatch,
+    TooLarge,
     describe_int,
 )
-from .pseudo import PseudoExpansion, block, decompose, pseudo_valuation
+from .pseudo import PseudoExpansion, _span, block, decompose, pseudo_valuation
 
 __all__ = [
     "ValuedUnit",
@@ -89,12 +91,6 @@ class ValuedUnit:
             return str(self.unit)
         return f"{self.p}^{self.valuation} {self.unit}"
 
-    def __mul__(self, other: "ValuedUnit") -> "ValuedUnit":
-        return vu_mul(self, other)
-
-    def __truediv__(self, other: "ValuedUnit") -> "ValuedUnit":
-        return vu_div(self, other)
-
 
 def _check_compatible(x: ValuedUnit, y: ValuedUnit) -> None:
     if x.p != y.p or x.precision != y.precision:
@@ -148,6 +144,10 @@ def _check_pair(a: int, b: int) -> None:
 # at e = 1, p > 128 at e = 2) keep the multiplicative loop.
 _TABLE_BUDGET = 1 << 14
 
+# Above the table budget the loop costs min(b, a - b) steps; past this
+# many (a few seconds) the primitive raises TooLarge instead of running.
+_LOOP_BUDGET = 1 << 22
+
 
 def exact_binom_mod(a: int, b: int, p: int, e: int) -> ValuedUnit:
     """C(a, b) as p**v times a unit known mod p**e.
@@ -156,7 +156,8 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> ValuedUnit:
     prefix table of the p-free factorials mod p**e, built once per
     (p, e); each call then costs O(log_p a) table lookups.  Above that
     budget it runs the multiplicative formula prod_{i=1..b} (a-b+i)/i at
-    O(min(b, a-b)) multiplications.
+    O(min(b, a-b)) multiplications, and raises TooLarge when that count
+    exceeds 2**22.
     """
     _check_pair(a, b)
     ensure_prime(p)
@@ -165,6 +166,12 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> ValuedUnit:
     if p**e <= _TABLE_BUDGET:
         v, unit = _binom_table(a, b, p, e)
     else:
+        steps = min(b, a - b)
+        if steps > _LOOP_BUDGET:
+            raise TooLarge(
+                f"C({describe_int(a)}, {describe_int(b)}) mod {describe_int(p)}**{e} "
+                f"needs {describe_int(steps)} loop steps, over the budget of {_LOOP_BUDGET}"
+            )
         v, unit = _binom_loop(a, b, p, e)
     return ValuedUnit(p, v, unit, e)
 
@@ -264,15 +271,71 @@ class Factor:
 
 @dataclass(frozen=True, slots=True)
 class EvalTrace:
-    """Ordered factors plus the bookkeeping that turns them into a residue."""
+    """Ordered factors plus the bookkeeping that turns them into a residue.
+
+    The factor product is p**m times ``unit``, a unit mod p**n (1 when the
+    theorem path short-circuits at m >= N and forms no factor).
+    """
 
     method: str
     p: int
     mod_exp: int
     n: int
     m: int
+    unit: int
     residue: int
     factors: tuple[Factor, ...]
+
+
+def _walk(
+    pe: int,
+    top: int,
+    width: int,
+    value: Callable[[int, int], ValuedUnit],
+    window: Callable[[int, int], tuple[DigitString, DigitString]],
+    factors: list[Factor] | None = None,
+) -> tuple[int, int]:
+    """(valuation, unit mod pe) of a block-quotient product.
+
+    Position ``top`` contributes value(top, width); each lower position i
+    contributes value(i, width) / value(i+1, width-1), or value(i, width)
+    alone when the width is 1.  Numerator and denominator units are
+    accumulated apart and divided once.  Given a list, the walk appends
+    one Factor per position, with digit windows built by ``window``.
+    """
+    v = 0
+    num = den = 1
+    for i in range(top, -1, -1):
+        nv = value(i, width)
+        v += nv.valuation
+        num = num * nv.unit % pe
+        dv = None
+        if i < top and width > 1:
+            dv = value(i + 1, width - 1)
+            v -= dv.valuation
+            den = den * dv.unit % pe
+        if factors is not None:
+            na, nb = window(i, width)
+            if dv is None:
+                factors.append(Factor(i, width, na, nb, None, None, nv, None, nv))
+            else:
+                da, db = window(i + 1, width - 1)
+                factors.append(Factor(i, width, na, nb, da, db, nv, dv, vu_div(nv, dv)))
+    return v, num * pow(den, -1, pe) % pe
+
+
+def _theorem_walk(
+    e: PseudoExpansion, n: int, factors: list[Factor] | None = None
+) -> tuple[int, int]:
+    # The theorem's product over positions max(d-n+1, 0) .. 0 at width n.
+    p, a, b = e.p, e.a_digits, e.b_digits
+
+    def value(i: int, w: int) -> ValuedUnit:
+        # Block values; top padding contributes nothing to the value.
+        lo, hi, _ = _span(e, i, w)
+        return _binom_vu(_value_of(a[lo:hi], p), _value_of(b[lo:hi], p), p, n)
+
+    return _walk(p**n, max(e.d - n + 1, 0), n, value, lambda i, w: block(e, i, w), factors)
 
 
 def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
@@ -285,54 +348,9 @@ def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
     """
     if n < 1:
         raise ValueError("block width n must be >= 1")
-    p = e.p
-    d = e.d
-    out = []
-    lead_start = max(d - n + 1, 0)
-    na, nb = block(e, lead_start, n)
-    nv = _binom_vu(na.value, nb.value, p, n)
-    out.append(Factor(lead_start, n, na, nb, None, None, nv, None, nv))
-    for i in range(d - n, -1, -1):
-        na, nb = block(e, i, n)
-        nv = _binom_vu(na.value, nb.value, p, n)
-        if n == 1:
-            out.append(Factor(i, n, na, nb, None, None, nv, None, nv))
-        else:
-            da, db = block(e, i + 1, n - 1)
-            dv = _binom_vu(da.value, db.value, p, n)
-            out.append(Factor(i, n, na, nb, da, db, nv, dv, vu_div(nv, dv)))
-    return out
-
-
-def _block_values(e: PseudoExpansion, i: int, length: int) -> tuple[int, int]:
-    # Raw block values; top padding contributes nothing to the value.
-    np_ = e.num_pairs
-    lo = e.bounds[min(i, np_)]
-    hi = e.bounds[min(i + length, np_)]
-    return _value_of(e.a_digits[lo:hi], e.p), _value_of(e.b_digits[lo:hi], e.p)
-
-
-def _theorem_unit(e: PseudoExpansion, n: int) -> tuple[int, int]:
-    """(total valuation, combined unit mod p**n) of the factor product."""
-    p = e.p
-    d = e.d
-    pe = p**n
-    nav, nbv = _block_values(e, max(d - n + 1, 0), n)
-    acc = _binom_vu(nav, nbv, p, n)
-    total = acc.valuation
-    num_unit = acc.unit
-    den_unit = 1
-    for i in range(d - n, -1, -1):
-        nav, nbv = _block_values(e, i, n)
-        nv = _binom_vu(nav, nbv, p, n)
-        total += nv.valuation
-        num_unit = num_unit * nv.unit % pe
-        if n > 1:
-            dav, dbv = _block_values(e, i + 1, n - 1)
-            dv = _binom_vu(dav, dbv, p, n)
-            total -= dv.valuation
-            den_unit = den_unit * dv.unit % pe
-    return total, num_unit * pow(den_unit, -1, pe) % pe
+    factors: list[Factor] = []
+    _theorem_walk(e, n, factors)
+    return factors
 
 
 def theorem_evaluate(
@@ -358,27 +376,18 @@ def theorem_evaluate(
         expansion = decompose(A, B, p)
     m = pseudo_valuation(expansion)
     if m >= N:
-        tr = EvalTrace("theorem", p, N, 0, m, 0, ()) if trace else None
+        tr = EvalTrace("theorem", p, N, 0, m, 1, 0, ()) if trace else None
         return 0, tr
     n = N - m
-    if trace:
-        factors = theorem_factors(expansion, n)
-        total = 0
-        unit = 1
-        pe = p**n
-        for f in factors:
-            total += f.value.valuation
-            unit = unit * f.value.unit % pe
-    else:
-        factors = None
-        total, unit = _theorem_unit(expansion, n)
+    factors = [] if trace else None
+    total, unit = _theorem_walk(expansion, n, factors)
     assert total == m, "factor valuations must sum to the borrow count"
     if __debug__:
         sa = DigitString(expansion.a_digits, p, padded=True)
         sb = DigitString(expansion.b_digits, p, padded=True)
         assert subtract_with_borrows(sa, sb, p)[1] == m, "valuation disagrees with borrows"
     residue = p**m * unit % p**N
-    tr = EvalTrace("theorem", p, N, n, m, residue, tuple(factors)) if trace else None
+    tr = EvalTrace("theorem", p, N, n, m, unit, residue, tuple(factors)) if trace else None
     return residue, tr
 
 
@@ -468,55 +477,22 @@ def davis_webb_evaluate(
     bdig = _digits_of(B, p)
     b = bdig + (0,) * (L - len(bdig))
 
-    factors: list[Factor] | None = [] if trace else None
-    lead = _dw_bracket(a[L - N :], b[L - N :], p, N)
-    num_val, den_val = lead.valuation, 0
-    pe = p**N
-    num_unit, den_unit = lead.unit, 1
-    if trace:
-        factors.append(
-            Factor(
-                L - N,
-                N,
-                DigitString(a[L - N :], p, padded=True),
-                DigitString(b[L - N :], p, padded=True),
-                None,
-                None,
-                lead,
-                None,
-                lead,
-            )
+    def value(i: int, w: int) -> ValuedUnit:
+        return _dw_bracket(a[i : i + w], b[i : i + w], p, N)
+
+    def window(i: int, w: int) -> tuple[DigitString, DigitString]:
+        return (
+            DigitString(a[i : i + w], p, padded=True),
+            DigitString(b[i : i + w], p, padded=True),
         )
-    for i in range(L - 1 - N, -1, -1):
-        nv = _dw_bracket(a[i : i + N], b[i : i + N], p, N)
-        num_val += nv.valuation
-        num_unit = num_unit * nv.unit % pe
-        if N == 1:
-            dv = None
-        else:
-            dv = _dw_bracket(a[i + 1 : i + N], b[i + 1 : i + N], p, N)
-            den_val += dv.valuation
-            den_unit = den_unit * dv.unit % pe
-        if trace:
-            has_den = dv is not None
-            factors.append(
-                Factor(
-                    i,
-                    N,
-                    DigitString(a[i : i + N], p, padded=True),
-                    DigitString(b[i : i + N], p, padded=True),
-                    DigitString(a[i + 1 : i + N], p, padded=True) if has_den else None,
-                    DigitString(b[i + 1 : i + N], p, padded=True) if has_den else None,
-                    nv,
-                    dv,
-                    vu_div(nv, dv) if has_den else nv,
-                )
-            )
-    m = num_val - den_val
+
+    factors = [] if trace else None
+    pe = p**N
+    m, unit = _walk(pe, L - N, N, value, window, factors)
     if m < 0:
         raise NegativeValuation("bracket product is not p-integral")
-    residue = 0 if m >= N else p**m * (num_unit * pow(den_unit, -1, pe)) % pe
-    tr = EvalTrace("davis-webb", p, N, N, m, residue, tuple(factors)) if trace else None
+    residue = 0 if m >= N else p**m * unit % pe
+    tr = EvalTrace("davis-webb", p, N, N, m, unit, residue, tuple(factors)) if trace else None
     return residue, tr
 
 
@@ -550,24 +526,7 @@ def format_trace_text(trace: EvalTrace) -> str:
             line += f" = {factored}"
         lines.append(line)
     if trace.factors:
-        unit = 1
-        pe = p**trace.n
-        total = 0
-        for f in trace.factors:
-            total += f.value.valuation
-            unit = unit * f.value.unit % pe
-        if trace.method == "davis-webb":
-            # Bracket quotients are combined as one division overall.
-            num_u = den_u = 1
-            total = 0
-            for f in trace.factors:
-                total += f.num_value.valuation
-                num_u = num_u * f.num_value.unit % pe
-                if f.den_value is not None:
-                    total -= f.den_value.valuation
-                    den_u = den_u * f.den_value.unit % pe
-            unit = num_u * pow(den_u, -1, pe) % pe
-        lines.append(f"  combined: {p}^{total} * {unit} (unit mod {pe})")
+        lines.append(f"  combined: {p}^{trace.m} * {trace.unit} (unit mod {p**trace.n})")
     lines.append(f"  result: {trace.residue} (mod {p**N})")
     return "\n".join(lines)
 

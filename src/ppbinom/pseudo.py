@@ -11,13 +11,10 @@ congruences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .digits import _ALPHABET, DigitString, _digits_of, _value_of, ensure_prime
+from .digits import _ALPHABET, DigitString, _digits_of, ensure_prime
 from .errors import EmptyBlock, OrderViolation, describe_int
 
 __all__ = [
-    "PseudoPair",
     "PseudoExpansion",
     "decompose",
     "pseudo_valuation",
@@ -26,51 +23,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class PseudoPair:
-    """One group: fixed-width digit strings of both sides plus their values.
-
-    The strings are authoritative (their width is the group length);
-    the values are stored because the decomposition already computed them.
-    """
-
-    a: DigitString
-    b: DigitString
-    value_a: int
-    value_b: int
-
-    @property
-    def length(self) -> int:
-        return len(self.a.digits)
-
-
 class PseudoExpansion:
     """Pseudo-digit segmentation of a pair (A, B) in base p.
 
     Stores the digit tuples of both numbers (B padded to A's width) and the
     segment boundaries; ``bounds[i]`` is the digit offset where group ``i``
-    starts and ``bounds[-1]`` the total digit count.  PseudoPair views are
-    materialized on demand.
+    starts and ``bounds[-1]`` the total digit count.  ``block`` reads
+    groups and runs of groups as digit strings.
     """
 
-    __slots__ = ("p", "value_a", "value_b", "a_digits", "b_digits", "bounds", "_pairs")
+    __slots__ = ("p", "a_digits", "b_digits", "bounds")
 
     def __init__(
         self,
         p: int,
-        value_a: int,
-        value_b: int,
         a_digits: tuple[int, ...],
         b_digits: tuple[int, ...],
         bounds: tuple[int, ...],
     ) -> None:
         self.p = p
-        self.value_a = value_a
-        self.value_b = value_b
         self.a_digits = a_digits
         self.b_digits = b_digits
         self.bounds = bounds
-        self._pairs: tuple[PseudoPair, ...] | None = None
 
     @property
     def num_pairs(self) -> int:
@@ -80,24 +54,6 @@ class PseudoExpansion:
     def d(self) -> int:
         """Index of the most significant pair."""
         return len(self.bounds) - 2
-
-    def pair(self, i: int) -> PseudoPair:
-        """Group i; indices above d are single zero groups (padding)."""
-        if i < 0:
-            raise IndexError(f"pair index {i} is negative")
-        if i > self.d:
-            zero = DigitString((0,), self.p, padded=True)
-            return PseudoPair(zero, zero, 0, 0)
-        lo, hi = self.bounds[i], self.bounds[i + 1]
-        a = DigitString(self.a_digits[lo:hi], self.p, padded=True)
-        b = DigitString(self.b_digits[lo:hi], self.p, padded=True)
-        return PseudoPair(a, b, _value_of(a.digits, self.p), _value_of(b.digits, self.p))
-
-    @property
-    def pairs(self) -> tuple[PseudoPair, ...]:
-        if self._pairs is None:
-            self._pairs = tuple(self.pair(i) for i in range(self.num_pairs))
-        return self._pairs
 
     def a_groups(self) -> str:
         """Parenthesized big-endian groups, e.g. ``(4)(323)(2)(1)(433)(0)(12)``."""
@@ -157,12 +113,28 @@ def decompose(A: int, B: int, p: int) -> PseudoExpansion:
             assert i + c < total, "pseudo-digit group ran past the available digits"
         i += c
         bounds.append(i)
-    return PseudoExpansion(p, A, B, da, db, tuple(bounds))
+    return PseudoExpansion(p, da, db, tuple(bounds))
 
 
 def pseudo_valuation(e: PseudoExpansion) -> int:
     """Total digits minus group count: the p-adic valuation of C(A, B)."""
     return len(e.a_digits) - e.num_pairs
+
+
+def _span(e: PseudoExpansion, i: int, length: int) -> tuple[int, int, int]:
+    """(lo, hi, groups) of groups i .. i+length-1: the digit offsets of
+    the part below the top, and how many real groups it holds; the other
+    length - groups are padding above the top."""
+    if length < 1:
+        raise EmptyBlock("blocks span at least one pseudo-digit")
+    if i < 0:
+        raise IndexError(f"block start {i} is negative")
+    bounds = e.bounds
+    np = len(bounds) - 1
+    # min() spelled out: every walk runs this twice per position.
+    lo = i if i < np else np
+    hi = i + length if i + length < np else np
+    return bounds[lo], bounds[hi], hi - lo
 
 
 def block(e: PseudoExpansion, i: int, length: int) -> tuple[DigitString, DigitString]:
@@ -171,19 +143,11 @@ def block(e: PseudoExpansion, i: int, length: int) -> tuple[DigitString, DigitSt
     Groups above the top index contribute a single zero digit each, which
     is the padding the leading block of a short expansion needs.
     """
-    if length < 1:
-        raise EmptyBlock("blocks span at least one pseudo-digit")
-    if i < 0:
-        raise IndexError(f"block start {i} is negative")
-    np = e.num_pairs
-    lo = e.bounds[min(i, np)]
-    hi = e.bounds[min(i + length, np)]
-    pad = (0,) * max(0, i + length - max(i, np))
-    a = e.a_digits[lo:hi] + pad
-    b = e.b_digits[lo:hi] + pad
+    lo, hi, groups = _span(e, i, length)
+    pad = (0,) * (length - groups)
     return (
-        DigitString(a, e.p, padded=True),
-        DigitString(b, e.p, padded=True),
+        DigitString(e.a_digits[lo:hi] + pad, e.p, padded=True),
+        DigitString(e.b_digits[lo:hi] + pad, e.p, padded=True),
     )
 
 
@@ -193,12 +157,5 @@ def block_valuation(e: PseudoExpansion, i: int, length: int) -> int:
     Equals the p-adic valuation of the block binomial C(a-block, b-block);
     padded zero groups above the top contribute nothing.
     """
-    if length < 1:
-        raise EmptyBlock("blocks span at least one pseudo-digit")
-    if i < 0:
-        raise IndexError(f"block start {i} is negative")
-    np = e.num_pairs
-    lo = e.bounds[min(i, np)]
-    hi = e.bounds[min(i + length, np)]
-    in_range = min(i + length, np) - min(i, np)
-    return (hi - lo) - in_range
+    lo, hi, groups = _span(e, i, length)
+    return (hi - lo) - groups

@@ -1,14 +1,40 @@
 """Command-line surface: output formats, golden text, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ppbinom import cli, engine
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, timeout):
+    """``python -m ppbinom ARGV`` in a fresh interpreter, source tree first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "ppbinom", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        proc = run_module(
+            "eval", "--prime", "3", "-N", "5", "1221121202", "1011012021", timeout=60
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "18 (mod 243)"
 
 
 class TestEval:
@@ -249,6 +275,16 @@ class TestErrors:
         )
         assert code == 0
         assert out.strip() == "35 (mod 10201)"
+
+    def test_over_budget_block_fails_fast(self):
+        # p**N above the table budget and min(b, a-b) ~ 5e8 loop steps
+        proc = run_module(
+            "eval", "--prime", "1000000007", "--radix", "10", "-N", "1",
+            "999999999", "500000000", timeout=2,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_bad_mod_exp(self, capsys):
         code, _, err = run(capsys, "eval", "--prime", "3", "--mod-exp", "0", "2", "1")

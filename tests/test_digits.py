@@ -6,7 +6,6 @@ import pytest
 
 from ppbinom.digits import (
     DigitString,
-    concat_value,
     ensure_prime,
     from_base_p,
     is_prime,
@@ -23,6 +22,7 @@ from ppbinom.errors import (
     NegativeResult,
     NotPrime,
 )
+from ppbinom.pseudo import block, decompose
 
 
 class TestParseNatural:
@@ -177,34 +177,31 @@ class TestSubtractWithBorrows:
 
 
 class TestConcatValue:
-    def test_two_groups(self):
-        blocks = [parse_digits("2", 3), parse_digits("20", 3)]
-        assert str(concat_value(blocks)) == "202"
+    """Group concatenation as block() does it: group 0 least significant."""
 
-    def test_identity(self):
-        x = parse_digits("1202", 3)
-        assert concat_value([x]).digits == x.digits
+    def test_two_groups(self):
+        # 202 over 011 in base 3 groups as (2)(20) over (1)(01)
+        a, _ = block(decompose(20, 4, 3), 0, 2)
+        assert str(a) == "202"
 
     def test_base5_low_blocks(self):
-        blocks = [parse_digits("12", 5), parse_digits("0", 5), parse_digits("433", 5)]
-        out = concat_value(blocks)
-        assert str(out) == "433012"
-        assert out.value == int("433012", 5)
+        # the low groups (12)(0)(433) of the base-5 example
+        e = decompose(
+            parse_natural("432321433012", 5), parse_natural("323411244003", 5), 5
+        )
+        a, _ = block(e, 0, 3)
+        assert str(a) == "433012"
+        assert a.value == int("433012", 5)
 
     def test_padding_survives(self):
-        blocks = [parse_digits("03", 5), parse_digits("0", 5)]
-        out = concat_value(blocks)
-        assert str(out) == "003"
-        assert len(out) == 3
-        assert out.padded
-
-    def test_mixed_base(self):
-        with pytest.raises(MixedBase):
-            concat_value([parse_digits("1", 3), parse_digits("1", 5)])
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            concat_value([])
+        # B's groups (03)(0): the group's leading zero stays significant
+        e = decompose(
+            parse_natural("432321433012", 5), parse_natural("323411244003", 5), 5
+        )
+        _, b = block(e, 0, 2)
+        assert str(b) == "003"
+        assert len(b) == 3
+        assert b.padded
 
 
 class TestDigitString:
@@ -216,20 +213,6 @@ class TestDigitString:
         assert s.digits == (1, 0, 1, 0)
         assert s.padded
         assert str(s) == "0101"
-
-    def test_pad_and_trim(self):
-        s = to_base_p(5, 2)
-        padded = s.pad_to(6)
-        assert len(padded) == 6
-        assert padded.value == 5
-        assert padded.trimmed().digits == s.digits
-
-    def test_validate(self):
-        with pytest.raises(DigitOutOfRange):
-            DigitString((3,), 3).validate()
-        with pytest.raises(ValueError):
-            DigitString((1, 0), 2).validate()  # unpadded leading zero
-        DigitString((1, 0), 2, padded=True).validate()
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):

@@ -26,6 +26,7 @@ from ppbinom.errors import (
     NotPrime,
     OrderViolation,
     PrecisionMismatch,
+    TooLarge,
 )
 from ppbinom.oracle import binom_exact
 from ppbinom.pseudo import block_valuation, decompose
@@ -90,7 +91,7 @@ class TestVuArithmetic:
 
     def test_self_division(self):
         x = ValuedUnit(5, 3, 17, 4)
-        q = x / x
+        q = vu_div(x, x)
         assert (q.valuation, q.unit) == (0, 1)
 
     def test_inverse_against_xgcd(self):
@@ -106,7 +107,6 @@ class TestVuArithmetic:
         y = ValuedUnit(3, 2, 14, 3)
         z = vu_mul(x, y)
         assert (z.valuation, z.unit) == (3, 28 % 27)
-        assert x * y == z
 
     def test_precision_mismatch(self):
         with pytest.raises(PrecisionMismatch):
@@ -175,6 +175,13 @@ class TestExactBinomMod:
             vu = exact_binom_mod(a, b, p, e)
             assert engine._unit_factorials.cache_info() == before
             assert (vu.valuation, vu.unit) == split_p(math.comb(a, b), p, p**e)
+
+    def test_over_loop_budget_raises(self):
+        with pytest.raises(TooLarge, match="loop steps"):
+            exact_binom_mod(999999999, 500000000, 1000000007, 1)
+        k = engine._LOOP_BUDGET + 1
+        with pytest.raises(TooLarge):
+            exact_binom_mod(3 * k, k, 1000003, 1)
 
     def test_errors(self):
         with pytest.raises(OrderViolation):
@@ -427,6 +434,45 @@ class TestTraceFormatting:
 
     def test_davis_webb_text_renders_mod_pn(self):
         _, tr = davis_webb_evaluate(A8, B8, 3, 5)
-        text = format_trace_text(tr)
-        assert "<21202/12021> = 90" in text
-        assert "result: 117 (mod 243)" in text
+        assert format_trace_text(tr) == "\n".join(
+            [
+                "method=davis-webb p=3 N=5 (m=2, n=5)",
+                "  <21202/12021> = 90 = 3^2 91",
+                "  <12021/20211>/<1202/2021> = 117/9 = 3^2 94/3^2 82",
+                "  <20211/02111>/<2021/0211> = 66/39 = 3^1 184/3^1 94",
+                "  <02112/21110>/<0211/2111> = 213/240 = 3^1 152/3^1 242",
+                "  combined: 3^2 * 13 (unit mod 243)",
+                "  result: 117 (mod 243)",
+            ]
+        )
+
+    def test_davis_webb_records_golden(self):
+        _, tr = davis_webb_evaluate(A8, B8, 3, 5)
+        assert format_trace_records(tr) == [
+            "index=3 num_block=21202/12021 den_block=- val=2 unit=91 prec=5",
+            "index=2 num_block=12021/20211 den_block=1202/2021 val=0 unit=13 prec=5",
+            "index=1 num_block=20211/02111 den_block=2021/0211 val=0 unit=64 prec=5",
+            "index=0 num_block=02112/21110 den_block=0211/2111 val=0 unit=91 prec=5",
+            "result=117 modulus=243",
+        ]
+
+    def test_davis_webb_high_valuation_lists_factors(self):
+        # Unlike the theorem path, m >= N still walks every window.
+        res, tr = davis_webb_evaluate(A8, B8, 3, 2)
+        assert res == tr.residue == 0
+        assert format_trace_text(tr) == "\n".join(
+            [
+                "method=davis-webb p=3 N=2 (m=2, n=2)",
+                "  <21/12> = 3 = 3^1 7",
+                "  <12/20>/<1/2> = 3/3 = 3^1 1/3^1 1",
+                "  <20/02>/<2/0> = 6/1 = 3^1 5/1",
+                "  <02/21>/<0/2> = 6/3 = 3^1 2/3^1 1",
+                "  <21/11>/<2/1> = 8/2",
+                "  <11/11>/<1/1> = 1/1",
+                "  <12/10>/<1/1> = 1/1",
+                "  combined: 3^2 * 1 (unit mod 9)",
+                "  result: 0 (mod 9)",
+            ]
+        )
+        assert format_trace_records(tr)[-1] == "result=0 modulus=9"
+        assert len(tr.factors) == 7

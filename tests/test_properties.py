@@ -29,7 +29,7 @@ from ppbinom.engine import (
     vu_mul,
 )
 from ppbinom.oracle import kummer_valuation
-from ppbinom.pseudo import block_valuation, decompose, pseudo_valuation
+from ppbinom.pseudo import block, block_valuation, decompose, pseudo_valuation
 
 PRIMES = (2, 3, 5, 7, 101)
 
@@ -84,14 +84,16 @@ def test_pair_local_law_and_reconstruction(pair, p):
     assert e.a_digits == to_base_p(a, p).digits
     joined_a = []
     joined_b = []
-    for pr in e.pairs:
-        assert pr.value_a >= pr.value_b
+    for i in range(e.num_pairs):
+        ga, gb = block(e, i, 1)
+        va, vb = ga.value, gb.value
+        assert va >= vb
         w = 1
-        for _ in range(pr.length - 1):
+        for _ in range(len(ga) - 1):
             w *= p
-            assert pr.value_a % w < pr.value_b % w
-        joined_a.extend(pr.a.digits)
-        joined_b.extend(pr.b.digits)
+            assert va % w < vb % w
+        joined_a.extend(ga.digits)
+        joined_b.extend(gb.digits)
     assert tuple(joined_a) == e.a_digits
     assert tuple(joined_b) == e.b_digits
 
@@ -207,6 +209,30 @@ def test_unit_depends_only_on_residues():
         assert redone == combined
 
 
+def test_trace_m_and_unit_are_the_factor_product():
+    # p**m * unit is the product of the listed factor values, for both
+    # methods; only the theorem path's m >= N short-circuit lists none
+    rng = random.Random(2718)
+    cases = [(a, b, p, N) for p in (2, 3) for a in range(40) for b in range(a + 1)
+             for N in (1, 3)]
+    for _ in range(150):
+        p = rng.choice((2, 3, 5, 7))
+        a = rng.randrange(10**25)
+        cases.append((a, rng.randrange(a + 1), p, rng.randrange(1, 7)))
+    for a, b, p, N in cases:
+        for evaluate in (theorem_evaluate, davis_webb_evaluate):
+            res, tr = evaluate(a, b, p, N)
+            assert res == tr.residue
+            if not tr.factors:
+                assert tr.method == "theorem" and tr.m >= N and res == 0
+                continue
+            prod = tr.factors[0].value
+            for f in tr.factors[1:]:
+                prod = vu_mul(prod, f.value)
+            assert (prod.valuation, prod.unit) == (tr.m, tr.unit)
+            assert res == (0 if tr.m >= N else p**tr.m * tr.unit % p**N)
+
+
 def test_davis_webb_trace_quotients_are_integral():
     # building traces must never hit a negative-valuation quotient
     rng = random.Random(97)
@@ -242,7 +268,7 @@ def test_segmentation_regression_witness():
     grouped = decompose(a, b, 3)
     degraded = decompose(a, 0, 3)
     assert grouped.bounds != degraded.bounds
-    assert all(pr.length == 1 for pr in degraded.pairs)
+    assert degraded.bounds == tuple(range(len(degraded.a_digits) + 1))
 
 
 def test_vu_round_trip_random():

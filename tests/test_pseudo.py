@@ -45,19 +45,18 @@ class TestDecompose:
     def test_equal_pair_is_all_singletons(self):
         e = decompose(A3, A3, 3)
         assert e.num_pairs == len(e.a_digits)
-        assert all(p.length == 1 for p in e.pairs)
+        assert e.bounds == tuple(range(len(e.a_digits) + 1))
 
     def test_zero_zero(self):
         e = decompose(0, 0, 7)
         assert e.d == 0
-        assert e.pairs[0].value_a == 0
-        assert e.pairs[0].value_b == 0
-        assert e.pairs[0].length == 1
+        a, b = block(e, 0, 1)
+        assert (a.value, b.value, len(a)) == (0, 0, 1)
 
     def test_b_zero_is_all_singletons(self):
         e = decompose(A3, 0, 3)
         assert e.num_pairs == len(e.a_digits)
-        assert all(p.value_b == 0 for p in e.pairs)
+        assert all(block(e, i, 1)[1].value == 0 for i in range(e.num_pairs))
 
     def test_segmentation_depends_on_the_pair(self):
         # same A, different B: different grouping
@@ -79,8 +78,9 @@ class TestDecompose:
             for a, b in [(A3, B3), (1023, 511), (970, 969), (59049, 1)]:
                 e = decompose(a, b, p)
                 assert e.a_digits == to_base_p(a, p).digits
-                joined_a = tuple(d for pair in e.pairs for d in pair.a.digits)
-                joined_b = tuple(d for pair in e.pairs for d in pair.b.digits)
+                groups = [block(e, i, 1) for i in range(e.num_pairs)]
+                joined_a = tuple(d for ga, _ in groups for d in ga.digits)
+                joined_b = tuple(d for _, gb in groups for d in gb.digits)
                 assert joined_a == e.a_digits
                 assert joined_b == e.b_digits
 
@@ -90,17 +90,20 @@ class TestDecompose:
             for a in range(120):
                 for b in range(a + 1):
                     e = decompose(a, b, p)
-                    for pair in e.pairs:
-                        assert pair.value_a >= pair.value_b
+                    for i in range(e.num_pairs):
+                        ga, gb = block(e, i, 1)
+                        va, vb = ga.value, gb.value
+                        assert va >= vb
                         w = 1
-                        for j in range(pair.length - 1):
+                        for j in range(len(ga) - 1):
                             w *= p
-                            assert pair.value_a % w < pair.value_b % w
+                            assert va % w < vb % w
 
     def test_pair_accessor_beyond_top_is_zero(self):
+        # block(e, i, 1) reads group i; above the top it is one zero digit
         e = decompose(7, 7, 3)
-        z = e.pair(e.d + 3)
-        assert z.value_a == 0 and z.value_b == 0 and z.length == 1
+        a, b = block(e, e.d + 3, 1)
+        assert (a.value, b.value, len(a)) == (0, 0, 1)
 
 
 class TestPseudoValuation:
@@ -136,10 +139,10 @@ class TestBlock:
     def test_single_pair_block(self):
         e = decompose(A3, B3, 3)
         for i in range(e.num_pairs):
+            lo, hi = e.bounds[i], e.bounds[i + 1]
             a, b = block(e, i, 1)
-            pair = e.pair(i)
-            assert a.digits == pair.a.digits
-            assert b.digits == pair.b.digits
+            assert a.digits == e.a_digits[lo:hi]
+            assert b.digits == e.b_digits[lo:hi]
 
     def test_binary_pair_concat(self):
         e = decompose(10, 5, 2)
@@ -194,3 +197,10 @@ class TestBlockValuation:
         e = decompose(2, 1, 2)
         assert block_valuation(e, 0, 5) == block_valuation(e, 0, 1) == 1
         assert block_valuation(e, 3, 2) == 0
+
+    def test_empty_block_rejected(self):
+        e = decompose(10, 5, 2)
+        with pytest.raises(EmptyBlock):
+            block_valuation(e, 0, 0)
+        with pytest.raises(IndexError):
+            block_valuation(e, -1, 2)
