@@ -10,9 +10,7 @@ from . import errors
 from .digits import (
     DigitString,
     ensure_prime,
-    from_base_p,
     is_prime,
-    parse_digits,
     parse_natural,
     subtract_with_borrows,
     to_base_p,
@@ -22,7 +20,6 @@ from .engine import (
     Factor,
     ValuedUnit,
     davis_webb_evaluate,
-    dw_bracket,
     exact_binom_mod,
     format_trace_records,
     format_trace_text,
@@ -30,7 +27,6 @@ from .engine import (
     theorem_evaluate,
     theorem_factors,
     vu_div,
-    vu_mul,
 )
 from .oracle import binom_exact, binom_mod_pascal, kummer_valuation, pascal_rows
 from .pseudo import (
@@ -47,9 +43,7 @@ __all__ = [
     "errors",
     "DigitString",
     "parse_natural",
-    "parse_digits",
     "to_base_p",
-    "from_base_p",
     "subtract_with_borrows",
     "is_prime",
     "ensure_prime",
@@ -62,12 +56,10 @@ __all__ = [
     "Factor",
     "EvalTrace",
     "exact_binom_mod",
-    "vu_mul",
     "vu_div",
     "theorem_factors",
     "theorem_evaluate",
     "lucas_evaluate",
-    "dw_bracket",
     "davis_webb_evaluate",
     "format_trace_text",
     "format_trace_records",

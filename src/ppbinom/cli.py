@@ -12,57 +12,29 @@ import random
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from . import engine, oracle
 from .digits import ensure_prime, parse_natural
 from .errors import TooLarge
 from .pseudo import decompose, pseudo_valuation
 
-__all__ = ["CliConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _METHODS = ("theorem", "davis-webb", "lucas", "exact", "all")
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation settings shared by all subcommands."""
-
-    prime: int
-    mod_exp: int
-    radix: int
-    method: str = "theorem"
-    trace: bool = False
-    fmt: str = "text"
-    seed: int = 0
-    trials: int = 20
-    digits: int = 12
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        ensure_prime(args.prime)
-        if args.mod_exp < 1:
-            raise ValueError("--mod-exp must be >= 1")
-        radix = args.radix
-        if radix is None:
-            if args.prime > 36:
-                raise ValueError(
-                    "base-p text entry needs p <= 36; pass --radix explicitly"
-                )
-            radix = args.prime
-        if not 2 <= radix <= 36:
-            raise ValueError(f"--radix must be in 2..36, got {radix}")
-        return cls(
-            prime=args.prime,
-            mod_exp=args.mod_exp,
-            radix=radix,
-            method=getattr(args, "method", "theorem"),
-            trace=getattr(args, "trace", False),
-            fmt=getattr(args, "format", "text"),
-            seed=getattr(args, "seed", 0),
-            trials=getattr(args, "trials", 20),
-            digits=getattr(args, "digits", 12),
-        )
+def _radix(args: argparse.Namespace) -> int:
+    """The radix of the A/B text inputs: --radix, else the prime."""
+    radix = args.radix
+    if radix is None:
+        if args.prime > 36:
+            raise ValueError(
+                "base-p text entry needs p <= 36; pass --radix explicitly"
+            )
+        radix = args.prime
+    if not 2 <= radix <= 36:
+        raise ValueError(f"--radix must be in 2..36, got {radix}")
+    return radix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,13 +85,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_inputs(cfg: CliConfig, a_text: str, b_text: str) -> tuple[int, int]:
-    return parse_natural(a_text, cfg.radix), parse_natural(b_text, cfg.radix)
+def _parse_inputs(args: argparse.Namespace) -> tuple[int, int]:
+    return parse_natural(args.A, args.radix), parse_natural(args.B, args.radix)
 
 
-def _eval_one(cfg: CliConfig, method: str, A: int, B: int, want_trace: bool):
+def _exact_or_skip(A: int, B: int, modulus: int) -> int | None:
+    """The oracle's C(A, B) mod modulus, or None after printing why the
+    oracle was skipped (the exact value is over its size guard)."""
+    try:
+        return oracle.binom_exact(A, B) % modulus
+    except TooLarge as exc:
+        print(f"exact: skipped ({exc})")
+        return None
+
+
+def _eval_one(args: argparse.Namespace, method: str, A: int, B: int, want_trace: bool):
     """(residue, modulus, trace-or-None) for a single method."""
-    p, N = cfg.prime, cfg.mod_exp
+    p, N = args.prime, args.mod_exp
     if method == "theorem":
         res, tr = engine.theorem_evaluate(A, B, p, N, trace=want_trace)
         return res, p**N, tr
@@ -133,30 +115,35 @@ def _eval_one(cfg: CliConfig, method: str, A: int, B: int, want_trace: bool):
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_eval(cfg: CliConfig, a_text: str, b_text: str) -> int:
-    A, B = _parse_inputs(cfg, a_text, b_text)
-    methods = ("theorem", "davis-webb", "lucas", "exact") if cfg.method == "all" else (cfg.method,)
-    if cfg.fmt == "records" and len(methods) > 1:
+def run_eval(args: argparse.Namespace) -> int:
+    A, B = _parse_inputs(args)
+    methods = ("theorem", "davis-webb", "lucas", "exact") if args.method == "all" else (args.method,)
+    if args.format == "records" and len(methods) > 1:
         raise ValueError("records format requires a single method")
     for method in methods:
-        want_trace = cfg.trace or cfg.fmt == "records"
-        res, modulus, tr = _eval_one(cfg, method, A, B, want_trace)
-        if cfg.fmt == "records":
+        if method == "exact" and len(methods) > 1:
+            res = _exact_or_skip(A, B, args.prime**args.mod_exp)
+            if res is not None:
+                print(f"exact: {res} (mod {args.prime**args.mod_exp})")
+            continue
+        want_trace = args.trace or args.format == "records"
+        res, modulus, tr = _eval_one(args, method, A, B, want_trace)
+        if args.format == "records":
             if tr is None:
                 print(f"result={res} modulus={modulus}")
             else:
                 print("\n".join(engine.format_trace_records(tr)))
             continue
-        if cfg.trace and tr is not None:
+        if args.trace and tr is not None:
             print(engine.format_trace_text(tr))
         prefix = f"{method}: " if len(methods) > 1 else ""
         print(f"{prefix}{res} (mod {modulus})")
     return 0
 
 
-def run_decompose(cfg: CliConfig, a_text: str, b_text: str) -> int:
-    A, B = _parse_inputs(cfg, a_text, b_text)
-    e = decompose(A, B, cfg.prime)
+def run_decompose(args: argparse.Namespace) -> int:
+    A, B = _parse_inputs(args)
+    e = decompose(A, B, args.prime)
     print(f"A = {e.a_groups()}")
     print(f"B = {e.b_groups()}")
     print(f"pseudo-digits = {e.num_pairs}")
@@ -164,17 +151,16 @@ def run_decompose(cfg: CliConfig, a_text: str, b_text: str) -> int:
     return 0
 
 
-def run_compare(cfg: CliConfig, a_text: str, b_text: str) -> int:
-    A, B = _parse_inputs(cfg, a_text, b_text)
-    p, N = cfg.prime, cfg.mod_exp
+def run_compare(args: argparse.Namespace) -> int:
+    A, B = _parse_inputs(args)
+    p, N = args.prime, args.mod_exp
     modulus = p**N
     results = {}
     results["theorem"] = engine.theorem_evaluate(A, B, p, N, trace=False)[0]
     results["davis-webb"] = engine.davis_webb_evaluate(A, B, p, N, trace=False)[0]
-    try:
-        results["exact"] = oracle.binom_exact(A, B) % modulus
-    except TooLarge as exc:
-        print(f"exact: skipped ({exc})")
+    exact = _exact_or_skip(A, B, modulus)
+    if exact is not None:
+        results["exact"] = exact
     for name, res in results.items():
         print(f"{name}: {res} (mod {modulus})")
     if len(set(results.values())) == 1:
@@ -184,23 +170,23 @@ def run_compare(cfg: CliConfig, a_text: str, b_text: str) -> int:
     return 1
 
 
-def run_bench(cfg: CliConfig) -> int:
-    p, N, digits = cfg.prime, cfg.mod_exp, cfg.digits
+def run_bench(args: argparse.Namespace) -> int:
+    p, N, digits = args.prime, args.mod_exp, args.digits
     if digits < 1:
         raise ValueError("--digits must be >= 1")
-    if cfg.trials < 1:
+    if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     lo = p ** (digits - 1)
     hi = p**digits
-    print(f"bench p={p} N={N} digits={digits} trials={cfg.trials} seed={cfg.seed}")
+    print(f"bench p={p} N={N} digits={digits} trials={args.trials} seed={args.seed}")
     total = 0.0
     slowest = 0.0
     lengths: Counter[int] = Counter()
     oracle_checked = 0
     oracle_agreed = 0
     oracle_skips = 0
-    for _ in range(cfg.trials):
+    for _ in range(args.trials):
         A = rng.randrange(lo, hi)
         B = rng.randrange(hi)
         while B > A:
@@ -219,10 +205,10 @@ def run_bench(cfg: CliConfig) -> int:
         except TooLarge:
             oracle_checked -= 1
             oracle_skips += 1
-    mean_ms = total / cfg.trials * 1000
+    mean_ms = total / args.trials * 1000
     print(
         f"theorem: total {total:.3f}s, mean {mean_ms:.3f} ms/pair, "
-        f"max {slowest * 1000:.3f} ms, {cfg.trials * digits / max(total, 1e-9):,.0f} digits/s"
+        f"max {slowest * 1000:.3f} ms, {args.trials * digits / max(total, 1e-9):,.0f} digits/s"
     )
     if oracle_checked:
         print(f"oracle: agreed {oracle_agreed}/{oracle_checked}")
@@ -237,15 +223,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = CliConfig.from_args(args)
+        ensure_prime(args.prime)
+        if args.mod_exp < 1:
+            raise ValueError("--mod-exp must be >= 1")
+        args.radix = _radix(args)
         if args.command == "eval":
-            return run_eval(cfg, args.A, args.B)
+            return run_eval(args)
         if args.command == "decompose":
-            return run_decompose(cfg, args.A, args.B)
+            return run_decompose(args)
         if args.command == "compare":
-            return run_compare(cfg, args.A, args.B)
+            return run_compare(args)
         if args.command == "bench":
-            return run_bench(cfg)
+            return run_bench(args)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

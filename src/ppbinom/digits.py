@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
-    DigitOutOfRange,
     EmptyInput,
     InvalidDigit,
     MixedBase,
@@ -26,9 +25,7 @@ from .errors import (
 __all__ = [
     "DigitString",
     "parse_natural",
-    "parse_digits",
     "to_base_p",
-    "from_base_p",
     "subtract_with_borrows",
     "is_prime",
     "ensure_prime",
@@ -88,15 +85,13 @@ def ensure_prime(p: int) -> int:
 class DigitString:
     """Little-endian digit sequence in a fixed base.
 
-    ``padded`` marks strings whose most-significant zeros are significant
-    (fixed-width blocks); canonical strings carry no leading zeros unless
-    the value itself is zero.  Constructors assume digits already lie in
-    0..base-1; use the parse/convert functions for untrusted input.
+    Digits are kept as given, leading zeros included, so a fixed-width
+    block keeps its width; ``to_base_p`` gives the canonical form.  The
+    constructor assumes digits already lie in 0..base-1.
     """
 
     digits: tuple[int, ...]
     base: int
-    padded: bool = False
 
     def __post_init__(self) -> None:
         if not self.digits:
@@ -185,37 +180,10 @@ def parse_natural(text: str, radix: int) -> int:
     return value
 
 
-def parse_digits(text: str, base: int) -> DigitString:
-    """Parse a digit string literally, keeping significant leading zeros."""
-    if not 2 <= base <= 36:
-        raise ValueError(f"base must be in 2..36 for text digits, got {base}")
-    if not text:
-        raise EmptyInput("empty digit string")
-    digits = []
-    for ch in reversed(text):
-        d = _DIGIT_VALUE.get(ch)
-        if d is None or d >= base:
-            raise InvalidDigit(f"{ch!r} is not a base-{base} digit")
-        digits.append(d)
-    padded = len(text) > 1 and text[0] == "0"
-    return DigitString(tuple(digits), base, padded=padded)
-
-
 def to_base_p(n: int, p: int) -> DigitString:
     """Canonical base-p digit string of n; p must be prime."""
     ensure_prime(p)
     return DigitString(_digits_of(n, p), p)
-
-
-def from_base_p(s: DigitString, p: int) -> int:
-    """Positional value of a digit string; inverse of to_base_p."""
-    ensure_prime(p)
-    if s.base != p:
-        raise MixedBase(f"digit string has base {s.base}, expected {p}")
-    for d in s.digits:
-        if d < 0 or d >= p:
-            raise DigitOutOfRange(f"digit {d} out of range for base {p}")
-    return _value_of(s.digits, p)
 
 
 def subtract_with_borrows(

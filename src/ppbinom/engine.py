@@ -24,12 +24,10 @@ from functools import lru_cache
 
 from .digits import DigitString, _value_of, _digits_of, ensure_prime, subtract_with_borrows
 from .errors import (
-    LengthMismatch,
-    MixedBase,
     NegativeValuation,
-    OrderViolation,
     PrecisionMismatch,
     TooLarge,
+    _check_pair,
     describe_int,
 )
 from .pseudo import PseudoExpansion, _span, block, decompose, pseudo_valuation
@@ -39,12 +37,10 @@ __all__ = [
     "Factor",
     "EvalTrace",
     "exact_binom_mod",
-    "vu_mul",
     "vu_div",
     "theorem_factors",
     "theorem_evaluate",
     "lucas_evaluate",
-    "dw_bracket",
     "davis_webb_evaluate",
     "format_trace_text",
     "format_trace_records",
@@ -56,37 +52,28 @@ class ValuedUnit:
     """p**valuation times a unit residue known modulo p**precision.
 
     The represented quantity is congruent to ``p**valuation * unit``
-    modulo ``p**(valuation + precision)``.  Exact zero is a distinct flag,
-    not a sentinel valuation.
+    modulo ``p**(valuation + precision)``.
     """
 
     p: int
     valuation: int
     unit: int
     precision: int
-    zero: bool = False
 
     def __post_init__(self) -> None:
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         if self.valuation < 0:
             raise NegativeValuation("valuation must be >= 0")
-        if self.zero:
-            if self.unit != 0:
-                raise ValueError("exact zero carries unit 0")
-        elif self.unit % self.p == 0:
+        if self.unit % self.p == 0:
             raise ValueError(f"unit {self.unit} is divisible by {self.p}")
 
     def value_mod(self) -> int:
         """The represented value as an integer mod p**(valuation+precision)."""
-        if self.zero:
-            return 0
         pv = self.p**self.valuation
         return pv * self.unit % (pv * self.p**self.precision)
 
     def __str__(self) -> str:
-        if self.zero:
-            return "0"
         if self.valuation == 0:
             return str(self.unit)
         return f"{self.p}^{self.valuation} {self.unit}"
@@ -99,15 +86,6 @@ def _check_compatible(x: ValuedUnit, y: ValuedUnit) -> None:
         )
 
 
-def vu_mul(x: ValuedUnit, y: ValuedUnit) -> ValuedUnit:
-    """Multiply: valuations add, units multiply mod p**precision."""
-    _check_compatible(x, y)
-    if x.zero or y.zero:
-        return ValuedUnit(x.p, 0, 0, x.precision, zero=True)
-    pe = x.p**x.precision
-    return ValuedUnit(x.p, x.valuation + y.valuation, x.unit * y.unit % pe, x.precision)
-
-
 def vu_div(x: ValuedUnit, y: ValuedUnit) -> ValuedUnit:
     """Divide: valuations subtract, units divide via the modular inverse.
 
@@ -115,10 +93,6 @@ def vu_div(x: ValuedUnit, y: ValuedUnit) -> ValuedUnit:
     below the line than above, i.e. is not p-integral.
     """
     _check_compatible(x, y)
-    if y.zero:
-        raise ZeroDivisionError("division by exact zero")
-    if x.zero:
-        return ValuedUnit(x.p, 0, 0, x.precision, zero=True)
     v = x.valuation - y.valuation
     if v < 0:
         raise NegativeValuation(
@@ -127,15 +101,6 @@ def vu_div(x: ValuedUnit, y: ValuedUnit) -> ValuedUnit:
     pe = x.p**x.precision
     unit = x.unit * pow(y.unit, -1, pe) % pe
     return ValuedUnit(x.p, v, unit, x.precision)
-
-
-def _check_pair(a: int, b: int) -> None:
-    if a < 0 or b < 0:
-        raise ValueError("naturals are nonnegative")
-    if a < b:
-        raise OrderViolation(
-            f"need a >= b, got a={describe_int(a)} < b={describe_int(b)}"
-        )
 
 
 # Blocks whose precision p**e is at most this use a prefix table of the
@@ -383,8 +348,8 @@ def theorem_evaluate(
     total, unit = _theorem_walk(expansion, n, factors)
     assert total == m, "factor valuations must sum to the borrow count"
     if __debug__:
-        sa = DigitString(expansion.a_digits, p, padded=True)
-        sb = DigitString(expansion.b_digits, p, padded=True)
+        sa = DigitString(expansion.a_digits, p)
+        sb = DigitString(expansion.b_digits, p)
         assert subtract_with_borrows(sa, sb, p)[1] == m, "valuation disagrees with borrows"
     residue = p**m * unit % p**N
     tr = EvalTrace("theorem", p, N, n, m, unit, residue, tuple(factors)) if trace else None
@@ -434,25 +399,6 @@ def _dw_bracket(adigits: tuple[int, ...], bdigits: tuple[int, ...], p: int, e: i
     return ValuedUnit(p, inner.valuation + stripped, inner.unit, e)
 
 
-def dw_bracket(ablock: DigitString, bblock: DigitString, p: int, e: int) -> ValuedUnit:
-    """The digit-window bracket of two equal-length blocks.
-
-    Binomial of the block values when the top block dominates (or ties),
-    otherwise a factor p times the bracket of the blocks with their top
-    digit removed; a lone digit pair with a < b is a bare p.
-    """
-    ensure_prime(p)
-    if e < 1:
-        raise ValueError("precision e must be >= 1")
-    if ablock.base != p or bblock.base != p:
-        raise MixedBase(f"blocks must both be base {p}")
-    if len(ablock) != len(bblock):
-        raise LengthMismatch(
-            f"blocks must have equal length, got {len(ablock)} and {len(bblock)}"
-        )
-    return _dw_bracket(ablock.digits, bblock.digits, p, e)
-
-
 def davis_webb_evaluate(
     A: int,
     B: int,
@@ -482,8 +428,8 @@ def davis_webb_evaluate(
 
     def window(i: int, w: int) -> tuple[DigitString, DigitString]:
         return (
-            DigitString(a[i : i + w], p, padded=True),
-            DigitString(b[i : i + w], p, padded=True),
+            DigitString(a[i : i + w], p),
+            DigitString(b[i : i + w], p),
         )
 
     factors = [] if trace else None

@@ -17,10 +17,6 @@ class InvalidDigit(ValueError):
     """A character in a number string is not a valid digit for the radix."""
 
 
-class DigitOutOfRange(ValueError):
-    """A digit value lies outside 0..base-1."""
-
-
 class MixedBase(ValueError):
     """Digit strings with different bases were combined."""
 
@@ -37,6 +33,16 @@ class OrderViolation(ValueError):
     """A pair (a, b) with a < b was given where a >= b is required."""
 
 
+def _check_pair(a: int, b: int) -> None:
+    """Raise unless a >= b >= 0."""
+    if a < 0 or b < 0:
+        raise ValueError("naturals are nonnegative")
+    if a < b:
+        raise OrderViolation(
+            f"need a >= b, got a={describe_int(a)} < b={describe_int(b)}"
+        )
+
+
 class EmptyBlock(ValueError):
     """A zero-width pseudo-digit block was requested."""
 
@@ -47,10 +53,6 @@ class NegativeValuation(ArithmeticError):
 
 class PrecisionMismatch(ValueError):
     """Valued units with different precision or different prime were combined."""
-
-
-class LengthMismatch(ValueError):
-    """Digit windows of unequal length were given to the bracket recursion."""
 
 
 class TooLarge(ValueError):

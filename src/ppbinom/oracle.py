@@ -12,7 +12,7 @@ import math
 from typing import Iterator
 
 from .digits import subtract_with_borrows, to_base_p
-from .errors import OrderViolation, TooLarge, describe_int
+from .errors import TooLarge, _check_pair, describe_int
 
 __all__ = [
     "binom_exact",
@@ -24,15 +24,6 @@ __all__ = [
 
 DEFAULT_MAX_DIGITS = 10**6
 PASCAL_LIMIT = 10**4
-
-
-def _check_pair(a: int, b: int) -> None:
-    if a < 0 or b < 0:
-        raise ValueError("naturals are nonnegative")
-    if a < b:
-        raise OrderViolation(
-            f"need a >= b, got a={describe_int(a)} < b={describe_int(b)}"
-        )
 
 
 def _result_digits_estimate(a: int, b: int) -> int:

@@ -146,8 +146,8 @@ def block(e: PseudoExpansion, i: int, length: int) -> tuple[DigitString, DigitSt
     lo, hi, groups = _span(e, i, length)
     pad = (0,) * (length - groups)
     return (
-        DigitString(e.a_digits[lo:hi] + pad, e.p, padded=True),
-        DigitString(e.b_digits[lo:hi] + pad, e.p, padded=True),
+        DigitString(e.a_digits[lo:hi] + pad, e.p),
+        DigitString(e.b_digits[lo:hi] + pad, e.p),
     )
 
 

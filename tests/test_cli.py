@@ -94,6 +94,24 @@ class TestEval:
         assert "exact: 117 (mod 243)" in lines
         assert any(line.startswith("lucas: ") for line in lines)
 
+    def test_all_methods_skip_oracle_over_guard(self, capsys):
+        # Exact C(A, B) would have ~10^21 digits: the oracle is skipped, as
+        # in compare, instead of ending the run with exit 2.
+        code, out, err = run(
+            capsys, "eval", "--prime", "9223372036854775783", "--radix", "10",
+            "-N", "1", "--method", "all",
+            "123456789012345678901234567890", "98765432109876543210",
+        )
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[:3] == [
+            f"{name}: 0 (mod 9223372036854775783)"
+            for name in ("theorem", "davis-webb", "lucas")
+        ]
+        assert lines[3].startswith("exact: skipped (")
+        assert len(lines) == 4
+
     def test_decimal_radix(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--prime", "3", "--mod-exp", "5", "--radix", "10",
@@ -202,6 +220,34 @@ class TestCompare:
         )
         assert code == 1
         assert "DISAGREE" in out
+
+
+class TestBoundaries:
+    """Extreme N and p, each in a fresh interpreter under a time bound."""
+
+    def test_large_mod_exp(self):
+        proc = run_module("compare", "--prime", "3", "-N", "5000", "2101", "1021", timeout=2)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "AGREE"
+
+    def test_prime_near_two_to_63(self):
+        proc = run_module(
+            "compare", "--prime", "9223372036854775783", "--radix", "10", "-N", "2",
+            "1000", "300", timeout=2,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "AGREE"
+
+    def test_large_mod_exp_over_loop_budget(self):
+        # m = 3000 leaves width-2000 blocks mod 2**2000, over the table
+        # budget, and about 10^602 loop steps.
+        proc = run_module(
+            "compare", "--prime", "2", "-N", "5000", "1" + "0" * 3000, "1" + "1" * 2000,
+            timeout=2,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestBench:

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from ppbinom import engine
-from ppbinom.digits import parse_digits, parse_natural
+from ppbinom.digits import parse_natural
 from ppbinom.engine import (
     ValuedUnit,
+    _dw_bracket,
     davis_webb_evaluate,
-    dw_bracket,
     exact_binom_mod,
     format_trace_records,
     format_trace_text,
@@ -18,10 +18,8 @@ from ppbinom.engine import (
     theorem_evaluate,
     theorem_factors,
     vu_div,
-    vu_mul,
 )
 from ppbinom.errors import (
-    LengthMismatch,
     NegativeValuation,
     NotPrime,
     OrderViolation,
@@ -67,16 +65,6 @@ class TestValuedUnit:
         with pytest.raises(ValueError):
             ValuedUnit(3, 1, 6, 3)
 
-    def test_zero_flag(self):
-        z = ValuedUnit(3, 0, 0, 3, zero=True)
-        x = ValuedUnit(3, 1, 2, 3)
-        assert z.value_mod() == 0
-        assert str(z) == "0"
-        assert vu_mul(z, x).zero
-        assert vu_div(z, x).zero
-        with pytest.raises(ZeroDivisionError):
-            vu_div(x, z)
-
     def test_negative_valuation_rejected(self):
         with pytest.raises(NegativeValuation):
             ValuedUnit(3, -1, 2, 3)
@@ -102,15 +90,9 @@ class TestVuArithmetic:
         expected = 10 * inv % 27
         assert vu_div(num, den).unit == expected == 11
 
-    def test_mul(self):
-        x = ValuedUnit(3, 1, 2, 3)
-        y = ValuedUnit(3, 2, 14, 3)
-        z = vu_mul(x, y)
-        assert (z.valuation, z.unit) == (3, 28 % 27)
-
     def test_precision_mismatch(self):
         with pytest.raises(PrecisionMismatch):
-            vu_mul(ValuedUnit(3, 0, 2, 3), ValuedUnit(3, 0, 2, 4))
+            vu_div(ValuedUnit(3, 0, 2, 3), ValuedUnit(3, 0, 2, 4))
         with pytest.raises(PrecisionMismatch):
             vu_div(ValuedUnit(3, 0, 2, 3), ValuedUnit(5, 0, 2, 3))
 
@@ -322,43 +304,36 @@ class TestLucas:
 
 
 class TestDwBracket:
+    """Brackets of little-endian digit windows of equal length."""
+
     def test_recursive_descent(self):
-        a = parse_digits("12021", 3)
-        b = parse_digits("20211", 3)
-        vu = dw_bracket(a, b, 3, 5)
+        # 12021 over 20211
+        vu = _dw_bracket((1, 2, 0, 2, 1), (1, 1, 2, 0, 2), 3, 5)
         inner = exact_binom_mod(int("2021", 3), int("0211", 3), 3, 5)
         assert vu.valuation == inner.valuation + 1
         assert vu.unit == inner.unit
 
     def test_denominator_path(self):
-        a = parse_digits("0211", 3)
-        b = parse_digits("2111", 3)
-        vu = dw_bracket(a, b, 3, 5)
+        # 0211 over 2111
+        vu = _dw_bracket((1, 1, 2, 0), (1, 1, 1, 2), 3, 5)
         inner = exact_binom_mod(int("211", 3), int("111", 3), 3, 5)
         assert (vu.valuation, vu.unit) == (inner.valuation + 1, inner.unit)
 
     def test_single_digits(self):
-        ge = dw_bracket(parse_digits("4", 5), parse_digits("2", 5), 5, 2)
+        ge = _dw_bracket((4,), (2,), 5, 2)
         assert (ge.valuation, ge.unit) == (0, 6)
-        lt = dw_bracket(parse_digits("1", 5), parse_digits("3", 5), 5, 2)
+        lt = _dw_bracket((1,), (3,), 5, 2)
         assert (lt.valuation, lt.unit) == (1, 1)
 
     def test_equal_blocks_take_binomial_branch(self):
-        a = parse_digits("102", 3)
-        vu = dw_bracket(a, a, 3, 4)
+        vu = _dw_bracket((2, 0, 1), (2, 0, 1), 3, 4)
         assert (vu.valuation, vu.unit) == (0, 1)
 
     def test_long_descent(self):
         # 1200 stripped top digits leave the bare factor p**1200.
-        a = parse_digits("1" + "0" * 1199, 3)
-        b = parse_digits("2" * 1200, 3)
-        vu = dw_bracket(a, b, 3, 1200)
+        vu = _dw_bracket((0,) * 1199 + (1,), (2,) * 1200, 3, 1200)
         assert (vu.valuation, vu.unit) == (1200, 1)
         assert davis_webb_evaluate(3**1200, 3**1200 - 1, 3, 1201)[0] == 3**1200
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            dw_bracket(parse_digits("10", 3), parse_digits("102", 3), 3, 2)
 
 
 class TestDavisWebbEvaluate:
