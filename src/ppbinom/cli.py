@@ -91,7 +91,7 @@ def _parse_inputs(args: argparse.Namespace) -> tuple[int, int]:
 
 def _exact_or_skip(A: int, B: int, modulus: int) -> int | None:
     """The oracle's C(A, B) mod modulus, or None after printing why the
-    oracle was skipped (the exact value is over its size guard)."""
+    oracle was skipped (over its size or cost guard)."""
     try:
         return oracle.binom_exact(A, B) % modulus
     except TooLarge as exc:
@@ -213,7 +213,7 @@ def run_bench(args: argparse.Namespace) -> int:
     if oracle_checked:
         print(f"oracle: agreed {oracle_agreed}/{oracle_checked}")
     if oracle_skips:
-        print(f"oracle: skipped {oracle_skips} (exact result over the size guard)")
+        print(f"oracle: skipped {oracle_skips} (over the oracle's size or cost guard)")
     dist = " ".join(f"{k}:{v}" for k, v in sorted(lengths.items()))
     print(f"pseudo-digit lengths: {dist}")
     return 0 if oracle_agreed == oracle_checked else 1

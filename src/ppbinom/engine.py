@@ -318,6 +318,20 @@ def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
     return factors
 
 
+def _low_borrows_reach(A: int, B: int, p: int, N: int) -> bool:
+    """Whether A - B borrows at least N times in its low 8N base-p
+    digits, so that p**N divides C(A, B) (Kummer).
+
+    Segments A mod p**k + p**k against B mod p**k, with k = 8N, or A's
+    bit length when less (k then still covers A's digits).  The leading
+    1 absorbs the last borrow, so the window's valuation is its borrow
+    count: at most m, and m itself when A < p**k.  ``decompose`` is read
+    from this module's globals, so a wrapper put there sees the window.
+    """
+    pk = p ** min(8 * N, A.bit_length())
+    return pseudo_valuation(decompose(A % pk + pk, B % pk, p)) >= N
+
+
 def theorem_evaluate(
     A: int,
     B: int,
@@ -330,14 +344,19 @@ def theorem_evaluate(
 
     The caller supplies only the modulus exponent N; the split N = n + m
     is derived from the valuation m, short-circuiting to 0 when m >= N.
-    Pass a precomputed ``expansion`` to amortize decomposition across
-    several N, and ``trace=False`` to skip building the factor table.
+    An untraced call with no ``expansion`` first counts the borrows in
+    the low 8N digits and returns (0, None) when they reach N, without
+    converting or segmenting the rest.  Pass a precomputed ``expansion``
+    to amortize decomposition across several N (it always takes the
+    full path), and ``trace=False`` to skip building the factor table.
     """
     _check_pair(A, B)
     ensure_prime(p)
     if N < 1:
         raise ValueError("modulus exponent N must be >= 1")
     if expansion is None:
+        if not trace and _low_borrows_reach(A, B, p, N):
+            return 0, None
         expansion = decompose(A, B, p)
     m = pseudo_valuation(expansion)
     if m >= N:
@@ -411,12 +430,15 @@ def davis_webb_evaluate(
     Works on plain base-p digits padded to a common length: the leading
     bracket covers the top N digits, and each lower position contributes
     the bracket of its N-digit window over the bracket of the (N-1)-digit
-    window above it.
+    window above it.  An untraced call returns (0, None) when the low 8N
+    digits of A - B already borrow N times, before any conversion.
     """
     _check_pair(A, B)
     ensure_prime(p)
     if N < 1:
         raise ValueError("modulus exponent N must be >= 1")
+    if not trace and _low_borrows_reach(A, B, p, N):
+        return 0, None
     adig = _digits_of(A, p)
     L = max(len(adig), N)
     a = adig + (0,) * (L - len(adig))

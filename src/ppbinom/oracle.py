@@ -24,6 +24,10 @@ __all__ = [
 
 DEFAULT_MAX_DIGITS = 10**6
 PASCAL_LIMIT = 10**4
+# binom_exact's loop does min(b, a-b) steps on numbers of up to the
+# result's size.  C(10**5, 5*10**4), just over this many steps x result
+# digits, takes about 1.1 s (Python 3.11 on a 2-core x86 host).
+_COST_GUARD = 15 * 10**8
 
 
 def _result_digits_estimate(a: int, b: int) -> int:
@@ -47,7 +51,8 @@ def binom_exact(a: int, b: int, max_digits: int = DEFAULT_MAX_DIGITS) -> int:
     """Exact C(a, b) by the multiplicative formula, one exact division per step.
 
     Refuses (TooLarge) when the result would exceed ``max_digits`` decimal
-    digits; the default guard keeps this a desk-scale tool.
+    digits, or when the loop would take over _COST_GUARD digit steps;
+    the guards keep this a desk-scale tool.
     """
     _check_pair(a, b)
     estimate = _result_digits_estimate(a, b)
@@ -55,6 +60,12 @@ def binom_exact(a: int, b: int, max_digits: int = DEFAULT_MAX_DIGITS) -> int:
         raise TooLarge(
             f"C({describe_int(a)}, {describe_int(b)}) would have about "
             f"{describe_int(estimate)} digits, over the {max_digits} digit guard"
+        )
+    cost = min(b, a - b) * estimate
+    if cost > _COST_GUARD:
+        raise TooLarge(
+            f"C({describe_int(a)}, {describe_int(b)}) would take about "
+            f"{describe_int(cost)} digit steps, over the {_COST_GUARD} step guard"
         )
     if b > a - b:
         b = a - b

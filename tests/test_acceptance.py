@@ -228,3 +228,28 @@ def test_acceptance_8_scale_property(capsys, monkeypatch):
     assert elapsed < 30.0
     with capsys.disabled():
         report(8, elapsed, f"20 pairs of 10^4 digits, worst pair {slowest*1000:.1f}ms (bound 1s)")
+
+
+def test_acceptance_8_full_path(capsys):
+    # The untraced calls above exit after the low 8N digits; passing the
+    # expansion keeps the full decomposition of these pairs (m >= 4778)
+    # and the full path's m >= N short-circuit under the same bound.
+    t0 = time.perf_counter()
+    rng = random.Random(8)
+    slowest = 0.0
+    for _ in range(20):
+        A = rng.randrange(3**9999, 3**10000)
+        B = rng.randrange(A + 1)
+        r8, _ = theorem_evaluate(A, B, 3, 8, trace=False)
+        t1 = time.perf_counter()
+        e = decompose(A, B, 3)
+        full8, _ = theorem_evaluate(A, B, 3, 8, expansion=e, trace=False)
+        r10, _ = theorem_evaluate(A, B, 3, 10, expansion=e, trace=False)
+        dt = time.perf_counter() - t1
+        slowest = max(slowest, dt)
+        assert dt < 1.0, f"pair took {dt:.3f}s"
+        assert full8 == r8
+        assert r10 % 3**8 == r8
+    elapsed = time.perf_counter() - t0
+    with capsys.disabled():
+        report("8 (full path)", elapsed, f"worst pair {slowest*1000:.1f}ms (bound 1s)")

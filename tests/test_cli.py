@@ -249,6 +249,19 @@ class TestBoundaries:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stdout + proc.stderr
 
+    def test_oracle_cost_guard(self):
+        # C(10^6, 5*10^5) has 3*10^5 digits, inside the size guard; the
+        # oracle's loop ran for minutes before its cost guard.
+        pair = ("--prime", "3", "--radix", "10", "-N", "2", "1000000", "500000")
+        for command in (("compare",), ("eval", "--method", "all")):
+            proc = run_module(*command, *pair, timeout=10)
+            assert proc.returncode == 0
+            assert "exact: skipped (C(1000000, 500000) would take about" in proc.stdout
+        proc = run_module("eval", "--method", "exact", *pair, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: C(1000000, 500000) would take about")
+        assert "Traceback" not in proc.stdout + proc.stderr
+
 
 class TestBench:
     def test_small_bench_checks_oracle(self, capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ppbinom import engine
+from ppbinom import cli, engine
 from ppbinom.digits import parse_natural
 from ppbinom.engine import (
     ValuedUnit,
@@ -26,8 +26,8 @@ from ppbinom.errors import (
     PrecisionMismatch,
     TooLarge,
 )
-from ppbinom.oracle import binom_exact
-from ppbinom.pseudo import block_valuation, decompose
+from ppbinom.oracle import binom_exact, kummer_valuation
+from ppbinom.pseudo import block_valuation, decompose, pseudo_valuation
 
 A3 = parse_natural("1221121202", 3)
 B3 = parse_natural("1011012021", 3)
@@ -451,3 +451,112 @@ class TestTraceFormatting:
         )
         assert format_trace_records(tr)[-1] == "result=0 modulus=9"
         assert len(tr.factors) == 7
+
+
+def from_digits(digits, p):
+    """The natural with little-endian base-p digits ``digits``."""
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """Record every engine.decompose call as (A, B, p, expansion); radix
+    conversion outside decompose (the Davis-Webb full path) raises."""
+    calls = []
+
+    def recording(A, B, p):
+        e = decompose(A, B, p)
+        calls.append((A, B, p, e))
+        return e
+
+    def no_conversion(n, base):
+        raise AssertionError("the full path converted A or B")
+
+    monkeypatch.setattr(engine, "decompose", recording)
+    monkeypatch.setattr(engine, "_digits_of", no_conversion)
+    return calls
+
+
+class TestEarlyExit:
+    """Untraced calls with >= N borrows in the low 8N digits return 0
+    from a segmentation of that window alone."""
+
+    def test_gate_exhaustive_inside_window(self):
+        step = 0
+        for p in (2, 3, 5):
+            for a in range(201):
+                for b in range(a + 1):
+                    m = kummer_valuation(a, b, p)
+                    for N in range(1, 9):
+                        assert engine._low_borrows_reach(a, b, p, N) == (m >= N)
+                    step += 1
+                    if step % 11:
+                        continue
+                    N = step // 11 % 8 + 1
+                    t = theorem_evaluate(a, b, p, N)[0]
+                    assert theorem_evaluate(a, b, p, N, trace=False) == (t, None)
+                    d = davis_webb_evaluate(a, b, p, N)[0]
+                    assert davis_webb_evaluate(a, b, p, N, trace=False) == (d, None)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_random_pair_converts_only_the_window(self, p, decompose_calls):
+        rng = random.Random(7)
+        A = rng.randrange(p ** (10**5 - 1), p ** 10**5)
+        B = rng.randrange(A + 1)
+        N = 8
+        for evaluate in (theorem_evaluate, davis_webb_evaluate):
+            decompose_calls.clear()
+            assert evaluate(A, B, p, N, trace=False) == (0, None)
+            assert len(decompose_calls) == 1
+            a, b, q, e = decompose_calls[0]
+            assert q == p and b <= a < p ** (8 * N + 1)
+            assert pseudo_valuation(e) >= N
+
+    def test_random_pair_compare_agrees(self, capsys, decompose_calls):
+        rng = random.Random(7)
+        A = rng.randrange(3 ** (10**5 - 1), 3 ** 10**5)
+        B = rng.randrange(A + 1)
+        code = cli.main(["compare", "--prime", "3", "-N", "8", "--radix", "16",
+                         f"{A:x}", f"{B:x}"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[-1] == "AGREE"
+        assert len(decompose_calls) == 2  # one window per evaluator
+
+    def test_low_valuation_takes_the_full_path(self, monkeypatch):
+        rng = random.Random(11)
+        p, N = 3, 8
+        ad = [rng.randrange(p) for _ in range(4999)] + [1]
+        A = from_digits(ad, p)
+        B = from_digits([rng.randrange(d + 1) for d in ad], p)  # m = 0
+        calls = []
+        monkeypatch.setattr(engine, "decompose", lambda *a: calls.append(a) or decompose(*a))
+        res = theorem_evaluate(A, B, p, N, trace=False)
+        assert calls[1:] == [(A, B, p)] and calls[0][0] < p ** (8 * N + 1)
+        assert res == (theorem_evaluate(A, B, p, N)[0], None)
+        res = davis_webb_evaluate(A, B, p, N, trace=False)
+        assert res == (davis_webb_evaluate(A, B, p, N)[0], None)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("N", [1, 4, 9])
+    def test_borrows_just_above_the_window(self, p, N):
+        # Digits p-1 over 0 borrow nothing; 0 over 1 starts a borrow
+        # chain that the digit p-1 over 0 above it ends.  A chain of N
+        # borrows from digit 8N - inside up fires the exit only when
+        # all N of them lie in the low 8N digits.
+        for inside in (0, N - 1, N):
+            start = 8 * N - inside
+            ad = [p - 1] * start + [0] * N + [p - 1]
+            bd = [0] * start + [1] * N + [0]
+            A, B = from_digits(ad, p), from_digits(bd, p)
+            assert engine._low_borrows_reach(A, B, p, N) == (inside == N)
+            assert theorem_evaluate(A, B, p, N, trace=False) == (0, None)
+            assert davis_webb_evaluate(A, B, p, N, trace=False) == (0, None)
+
+    def test_window_no_wider_than_A(self, decompose_calls):
+        # At N = 50000 a window of 8N digits on a 4-digit pair costs over
+        # 100x the full path; the window stops at A's bit length.
+        A, B = parse_natural("2101", 3), parse_natural("1021", 3)
+        want = theorem_evaluate(A, B, 3, 50000)[0]
+        assert theorem_evaluate(A, B, 3, 50000, trace=False) == (want, None)
+        assert len(decompose_calls[0][3].a_digits) <= A.bit_length() + 1

@@ -39,6 +39,16 @@ class TestBinomExact:
         with pytest.raises(TooLarge):
             binom_exact(10**400, 10**399)  # beyond float range, bound still applies
 
+    def test_cost_guard(self):
+        # Results of 3*10^5 and 6*10^4 digits pass the size guard, but
+        # their loops would run for minutes and for seconds.
+        for a in (10**6, 2 * 10**5):
+            with pytest.raises(TooLarge, match="digit steps"):
+                binom_exact(a, a // 2)
+        # The size guard is checked first, so its message is unchanged.
+        with pytest.raises(TooLarge, match="digits, over the 1000000 digit guard"):
+            binom_exact(10**9, 5 * 10**8)
+
     def test_custom_guard(self):
         with pytest.raises(TooLarge):
             binom_exact(100, 50, max_digits=10)
