@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 import time
@@ -35,6 +36,25 @@ def _radix(args: argparse.Namespace) -> int:
     if not 2 <= radix <= 36:
         raise ValueError(f"--radix must be in 2..36, got {radix}")
     return radix
+
+
+def _check_output(args: argparse.Namespace) -> None:
+    """Refuse up front what could not be printed: base-p digits past z,
+    and a modulus p**N over Python's int-to-str digit limit (estimated as
+    N log10 p, without building p**N)."""
+    p, N = args.prime, args.mod_exp
+    digit_text = args.command == "decompose" or (
+        args.command == "eval" and (args.trace or args.format == "records")
+    )
+    if p > 36 and digit_text:
+        raise ValueError("base-p text output (decompose, --trace, records) needs p <= 36")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = math.floor(N * math.log10(p)) + 1
+    if args.command in ("eval", "compare") and limit and digits > limit:
+        raise ValueError(
+            f"modulus {p}**{N} has about {digits} decimal digits, over the "
+            f"int-to-str limit of {limit} (sys.set_int_max_str_digits)"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,6 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.mod_exp < 1:
             raise ValueError("--mod-exp must be >= 1")
         args.radix = _radix(args)
+        _check_output(args)
         if args.command == "eval":
             return run_eval(args)
         if args.command == "decompose":

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import (
     EmptyInput,
@@ -107,7 +106,10 @@ class DigitString:
 
     @property
     def value(self) -> int:
-        return _value_of(self.digits, self.base)
+        v = 0
+        for d in reversed(self.digits):
+            v = v * self.base + d
+        return v
 
 
 @lru_cache(maxsize=64)
@@ -141,25 +143,6 @@ def _digits_of(n: int, base: int) -> tuple[int, ...]:
         n, r = divmod(n, base)
         out.append(r)
     return tuple(out)
-
-
-def _value_of(digits: Sequence[int], base: int) -> int:
-    """Positional value of little-endian digits (no range check)."""
-    chunk, k = _chunk_for(base)
-    n = len(digits)
-    if n <= k:
-        v = 0
-        for d in reversed(digits):
-            v = v * base + d
-        return v
-    total = 0
-    for lo in range(((n - 1) // k) * k, -1, -k):
-        group = digits[lo : lo + k]
-        gv = 0
-        for d in reversed(group):
-            gv = gv * base + d
-        total = total * base ** len(group) + gv
-    return total
 
 
 def parse_natural(text: str, radix: int) -> int:

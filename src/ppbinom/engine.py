@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .digits import DigitString, _value_of, _digits_of, ensure_prime, subtract_with_borrows
+from .digits import DigitString, _digits_of, ensure_prime, subtract_with_borrows
 from .errors import (
     NegativeValuation,
     PrecisionMismatch,
@@ -30,7 +30,7 @@ from .errors import (
     _check_pair,
     describe_int,
 )
-from .pseudo import PseudoExpansion, _span, block, decompose, pseudo_valuation
+from .pseudo import PseudoExpansion, block, decompose, pseudo_valuation
 
 __all__ = [
     "ValuedUnit",
@@ -253,54 +253,58 @@ class EvalTrace:
 
 
 def _walk(
-    pe: int,
-    top: int,
+    e: PseudoExpansion,
     width: int,
-    value: Callable[[int, int], ValuedUnit],
-    window: Callable[[int, int], tuple[DigitString, DigitString]],
+    pe: int,
+    value: Callable[[int, int, int], ValuedUnit],
     factors: list[Factor] | None = None,
 ) -> tuple[int, int]:
-    """(valuation, unit mod pe) of a block-quotient product.
+    """(valuation, unit mod pe) of the block-quotient product over e's groups.
 
-    Position ``top`` contributes value(top, width); each lower position i
-    contributes value(i, width) / value(i+1, width-1), or value(i, width)
-    alone when the width is 1.  Numerator and denominator units are
-    accumulated apart and divided once.  Given a list, the walk appends
-    one Factor per position, with digit windows built by ``window``.
+    Position top = max(groups - width, 0) contributes the value of groups
+    top and up; each lower position i the value of groups i .. i+width-1
+    over that of groups i+1 .. i+width-1 (alone at width 1).
+    ``value(av, bv, k)`` maps a block's A and B values and digit count to
+    a ValuedUnit.  The values roll: the denominator at i is the running
+    value cut to the digits of its groups, and the numerator folds group
+    i's digits in below it.  Units are accumulated apart and divided once;
+    given a list, the walk appends one Factor per position, with digit
+    windows from ``block``.
     """
-    v = 0
-    num = den = 1
+    p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
+    top = max(len(bounds) - 1 - width, 0)
+    # hi: the digit offset above group i; k: the denominator's digit count.
+    hi = bounds[-1]
+    av = bv = k = v = 0
+    pk = num = den = 1
     for i in range(top, -1, -1):
-        nv = value(i, width)
+        if i < top:
+            if bounds[i + width] - hi != k:
+                k = bounds[i + width] - hi
+                pk = p**k
+            av %= pk
+            bv %= pk
+        dav, dbv, lo = av, bv, bounds[i]
+        for j in range(hi - 1, lo - 1, -1):
+            av = a[j] + p * av
+            bv = b[j] + p * bv
+        nv = value(av, bv, k + hi - lo)
+        hi = lo
         v += nv.valuation
         num = num * nv.unit % pe
         dv = None
         if i < top and width > 1:
-            dv = value(i + 1, width - 1)
+            dv = value(dav, dbv, k)
             v -= dv.valuation
             den = den * dv.unit % pe
         if factors is not None:
-            na, nb = window(i, width)
+            na, nb = block(e, i, width)
             if dv is None:
                 factors.append(Factor(i, width, na, nb, None, None, nv, None, nv))
             else:
-                da, db = window(i + 1, width - 1)
+                da, db = block(e, i + 1, width - 1)
                 factors.append(Factor(i, width, na, nb, da, db, nv, dv, vu_div(nv, dv)))
     return v, num * pow(den, -1, pe) % pe
-
-
-def _theorem_walk(
-    e: PseudoExpansion, n: int, factors: list[Factor] | None = None
-) -> tuple[int, int]:
-    # The theorem's product over positions max(d-n+1, 0) .. 0 at width n.
-    p, a, b = e.p, e.a_digits, e.b_digits
-
-    def value(i: int, w: int) -> ValuedUnit:
-        # Block values; top padding contributes nothing to the value.
-        lo, hi, _ = _span(e, i, w)
-        return _binom_vu(_value_of(a[lo:hi], p), _value_of(b[lo:hi], p), p, n)
-
-    return _walk(p**n, max(e.d - n + 1, 0), n, value, lambda i, w: block(e, i, w), factors)
 
 
 def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
@@ -314,7 +318,7 @@ def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
     if n < 1:
         raise ValueError("block width n must be >= 1")
     factors: list[Factor] = []
-    _theorem_walk(e, n, factors)
+    _walk(e, n, e.p**n, lambda x, y, k: _binom_vu(x, y, e.p, n), factors)
     return factors
 
 
@@ -364,7 +368,7 @@ def theorem_evaluate(
         return 0, tr
     n = N - m
     factors = [] if trace else None
-    total, unit = _theorem_walk(expansion, n, factors)
+    total, unit = _walk(expansion, n, p**n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
     assert total == m, "factor valuations must sum to the borrow count"
     if __debug__:
         sa = DigitString(expansion.a_digits, p)
@@ -396,14 +400,12 @@ def lucas_evaluate(A: int, B: int, p: int) -> int:
 
 
 @lru_cache(maxsize=1 << 18)
-def _dw_bracket(adigits: tuple[int, ...], bdigits: tuple[int, ...], p: int, e: int) -> ValuedUnit:
-    # Strip top digits while the A side is below the B side, paying a
-    # factor p for each.  Equal blocks take the binomial branch too: they
-    # produce no borrows, so paying a factor p there would break the
-    # congruence.
-    av = _value_of(adigits, p)
-    bv = _value_of(bdigits, p)
-    pk = p ** len(adigits)
+def _dw_bracket(av: int, bv: int, k: int, p: int, e: int) -> ValuedUnit:
+    # The bracket <av/bv> of two k-digit windows, at precision e.  Strip
+    # top digits while the A side is below the B side, paying a factor p
+    # for each.  Equal blocks take the binomial branch too: they produce
+    # no borrows, so paying a factor p there would break the congruence.
+    pk = p**k
     stripped = 0
     while av < bv:
         stripped += 1
@@ -427,7 +429,8 @@ def davis_webb_evaluate(
 ) -> tuple[int, EvalTrace | None]:
     """C(A, B) mod p**N via the width-N digit-window bracket product.
 
-    Works on plain base-p digits padded to a common length: the leading
+    Works on plain base-p digits padded to a common length of at least N,
+    walked as an expansion whose groups are single digits: the leading
     bracket covers the top N digits, and each lower position contributes
     the bracket of its N-digit window over the bracket of the (N-1)-digit
     window above it.  An untraced call returns (0, None) when the low 8N
@@ -444,19 +447,10 @@ def davis_webb_evaluate(
     a = adig + (0,) * (L - len(adig))
     bdig = _digits_of(B, p)
     b = bdig + (0,) * (L - len(bdig))
-
-    def value(i: int, w: int) -> ValuedUnit:
-        return _dw_bracket(a[i : i + w], b[i : i + w], p, N)
-
-    def window(i: int, w: int) -> tuple[DigitString, DigitString]:
-        return (
-            DigitString(a[i : i + w], p),
-            DigitString(b[i : i + w], p),
-        )
-
+    e = PseudoExpansion(p, a, b, tuple(range(L + 1)))
     factors = [] if trace else None
     pe = p**N
-    m, unit = _walk(pe, L - N, N, value, window, factors)
+    m, unit = _walk(e, N, pe, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
     if m < 0:
         raise NegativeValuation("bracket product is not p-integral")
     residue = 0 if m >= N else p**m * unit % pe

@@ -131,7 +131,7 @@ def _span(e: PseudoExpansion, i: int, length: int) -> tuple[int, int, int]:
         raise IndexError(f"block start {i} is negative")
     bounds = e.bounds
     np = len(bounds) - 1
-    # min() spelled out: every walk runs this twice per position.
+    # min() spelled out: a traced walk runs this twice per position.
     lo = i if i < np else np
     hi = i + length if i + length < np else np
     return bounds[lo], bounds[hi], hi - lo

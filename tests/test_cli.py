@@ -249,6 +249,21 @@ class TestBoundaries:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stdout + proc.stderr
 
+    def test_modulus_too_long_to_print(self):
+        # N = 10000 used to compute the residue and then fail to print
+        # p**N; N = 2*10^7 ran for over a minute
+        for N in ("10000", "20000000"):
+            for command in ("eval", "compare"):
+                proc = run_module(command, "--prime", "3", "-N", N, "1", "0", timeout=2)
+                assert proc.returncode == 2
+                assert proc.stdout == ""
+                assert proc.stderr.startswith(f"error: modulus 3**{N} has about ")
+                assert f"int-to-str limit of {sys.get_int_max_str_digits()}" in proc.stderr
+                assert "Traceback" not in proc.stderr
+        proc = run_module("eval", "--prime", "2", "-N", "14000", "1", "0", timeout=2)
+        assert proc.returncode == 0
+        assert proc.stdout.endswith(f" (mod {2**14000})\n")
+
     def test_oracle_cost_guard(self):
         # C(10^6, 5*10^5) has 3*10^5 digits, inside the size guard; the
         # oracle's loop ran for minutes before its cost guard.
@@ -334,6 +349,24 @@ class TestErrors:
         )
         assert code == 0
         assert out.strip() == "35 (mod 10201)"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("decompose",),
+            ("eval", "-N", "2", "--trace"),
+            ("eval", "-N", "2", "--format", "records"),
+            ("eval", "-N", "2", "--method", "davis-webb", "--trace"),
+        ],
+        ids=["decompose", "trace", "records", "davis-webb-trace"],
+    )
+    def test_large_prime_refuses_digit_text(self, capsys, command):
+        # digit 100 of base 101 has no character; this was an IndexError
+        # traceback with exit 1
+        code, out, err = run(capsys, *command, "--prime", "101", "--radix", "10", "100", "50")
+        assert code == 2
+        assert out == ""
+        assert err == "error: base-p text output (decompose, --trace, records) needs p <= 36\n"
 
     def test_over_budget_block_fails_fast(self):
         # p**N above the table budget and min(b, a-b) ~ 5e8 loop steps

@@ -304,34 +304,34 @@ class TestLucas:
 
 
 class TestDwBracket:
-    """Brackets of little-endian digit windows of equal length."""
+    """Brackets of two digit windows of equal length, given by value."""
 
     def test_recursive_descent(self):
         # 12021 over 20211
-        vu = _dw_bracket((1, 2, 0, 2, 1), (1, 1, 2, 0, 2), 3, 5)
+        vu = _dw_bracket(int("12021", 3), int("20211", 3), 5, 3, 5)
         inner = exact_binom_mod(int("2021", 3), int("0211", 3), 3, 5)
         assert vu.valuation == inner.valuation + 1
         assert vu.unit == inner.unit
 
     def test_denominator_path(self):
         # 0211 over 2111
-        vu = _dw_bracket((1, 1, 2, 0), (1, 1, 1, 2), 3, 5)
+        vu = _dw_bracket(int("0211", 3), int("2111", 3), 4, 3, 5)
         inner = exact_binom_mod(int("211", 3), int("111", 3), 3, 5)
         assert (vu.valuation, vu.unit) == (inner.valuation + 1, inner.unit)
 
     def test_single_digits(self):
-        ge = _dw_bracket((4,), (2,), 5, 2)
+        ge = _dw_bracket(4, 2, 1, 5, 2)
         assert (ge.valuation, ge.unit) == (0, 6)
-        lt = _dw_bracket((1,), (3,), 5, 2)
+        lt = _dw_bracket(1, 3, 1, 5, 2)
         assert (lt.valuation, lt.unit) == (1, 1)
 
     def test_equal_blocks_take_binomial_branch(self):
-        vu = _dw_bracket((2, 0, 1), (2, 0, 1), 3, 4)
+        vu = _dw_bracket(int("102", 3), int("102", 3), 3, 3, 4)
         assert (vu.valuation, vu.unit) == (0, 1)
 
     def test_long_descent(self):
         # 1200 stripped top digits leave the bare factor p**1200.
-        vu = _dw_bracket((0,) * 1199 + (1,), (2,) * 1200, 3, 1200)
+        vu = _dw_bracket(3**1199, 3**1200 - 1, 1200, 3, 1200)
         assert (vu.valuation, vu.unit) == (1200, 1)
         assert davis_webb_evaluate(3**1200, 3**1200 - 1, 3, 1201)[0] == 3**1200
 

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from ppbinom.digits import subtract_with_borrows, to_base_p
 from ppbinom.engine import (
     ValuedUnit,
+    _binom_vu,
+    _dw_bracket,
     davis_webb_evaluate,
     exact_binom_mod,
     lucas_evaluate,
@@ -243,6 +245,63 @@ def test_davis_webb_trace_quotients_are_integral():
         for f in tr.factors:
             if f.den_value is not None:
                 assert f.value == vu_div(f.num_value, f.den_value)
+
+
+def _assert_values_match_windows(factors, recompute):
+    # the walk rolls its block values; the windows come from block()
+    for f in factors:
+        assert f.num_value == recompute(f.num_a, f.num_b), f.index
+        if f.den_a is not None:
+            assert f.den_value == recompute(f.den_a, f.den_b), f.index
+
+
+def _assert_rolled_values(a, b, p, N):
+    _, tr = theorem_evaluate(a, b, p, N)
+    n = tr.n
+    _assert_values_match_windows(tr.factors, lambda x, y: _binom_vu(x.value, y.value, p, n))
+    _, tr = davis_webb_evaluate(a, b, p, N)
+    _assert_values_match_windows(
+        tr.factors, lambda x, y: _dw_bracket(x.value, y.value, len(x), p, N)
+    )
+
+
+def _long_group_pair(rng, p, length):
+    # Digitwise-dominant low and high parts around a chunk where A reads
+    # 10...0 and B reads 0...0x: every proper low prefix of the chunk
+    # fails A >= B, so it is one group of `length` digits.
+    low = rng.randrange(4)
+    a_low = [rng.randrange(p) for _ in range(low)]
+    b_low = [rng.randrange(d + 1) for d in a_low]
+    a_high = [rng.randrange(p) for _ in range(rng.randrange(4))]
+    b_high = [rng.randrange(d + 1) for d in a_high]
+    a = a_low + [0] * (length - 1) + [1] + a_high
+    b = b_low + [rng.randrange(1, p)] + [0] * (length - 1) + b_high
+    return (sum(d * p**j for j, d in enumerate(a)), sum(d * p**j for j, d in enumerate(b)))
+
+
+def test_rolled_block_values_match_block_windows():
+    # exhaustive small sweep, including expansions with fewer groups than
+    # the width (padded top)
+    for p in (2, 3, 5):
+        for a in range(30):
+            for b in range(a + 1):
+                for N in range(1, 7):
+                    _assert_rolled_values(a, b, p, N)
+    rng = random.Random(8128)
+    for _ in range(40):
+        # long groups; DW windows stay on the table path at p = 2
+        a, b = _long_group_pair(rng, 2, rng.randrange(10, 13))
+        e = decompose(a, b, 2)
+        assert max(e.bounds[i + 1] - e.bounds[i] for i in range(e.num_pairs)) >= 10
+        _assert_rolled_values(a, b, 2, pseudo_valuation(e) + rng.randrange(1, 3))
+    for _ in range(40):
+        p = rng.choice((3, 5))
+        a, b = _long_group_pair(rng, p, rng.randrange(10, 16))
+        e = decompose(a, b, p)
+        for n in range(1, 5):
+            _assert_values_match_windows(
+                theorem_factors(e, n), lambda x, y: _binom_vu(x.value, y.value, p, n)
+            )
 
 
 def test_absorption_identities_exhaustive():
