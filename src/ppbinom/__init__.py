@@ -26,7 +26,6 @@ from .engine import (
     lucas_evaluate,
     theorem_evaluate,
     theorem_factors,
-    vu_div,
 )
 from .oracle import binom_exact, binom_mod_pascal, kummer_valuation, pascal_rows
 from .pseudo import (
@@ -56,7 +55,6 @@ __all__ = [
     "Factor",
     "EvalTrace",
     "exact_binom_mod",
-    "vu_div",
     "theorem_factors",
     "theorem_evaluate",
     "lucas_evaluate",

@@ -42,7 +42,7 @@ def _check_output(args: argparse.Namespace) -> None:
     """Refuse up front what could not be printed: base-p digits past z,
     and a modulus p**N over Python's int-to-str digit limit (estimated as
     N log10 p, without building p**N)."""
-    p, N = args.prime, args.mod_exp
+    p, N = args.prime, getattr(args, "mod_exp", 1)
     digit_text = args.command == "decompose" or (
         args.command == "eval" and (args.trace or args.format == "records")
     )
@@ -60,15 +60,19 @@ def _check_output(args: argparse.Namespace) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime", "-p", type=int, required=True, help="prime base p")
-    common.add_argument(
+    modulus = argparse.ArgumentParser(add_help=False)
+    modulus.add_argument(
         "--mod-exp", "-N", type=int, default=1, help="modulus exponent N (modulus p**N)"
     )
-    common.add_argument(
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument(
         "--radix",
         type=int,
         default=None,
         help="radix of the A/B text inputs (default: p)",
     )
+    pair.add_argument("A")
+    pair.add_argument("B")
 
     parser = argparse.ArgumentParser(
         prog="ppbinom",
@@ -76,27 +80,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate C(A, B) mod p**N")
+    p_eval = sub.add_parser(
+        "eval", parents=[common, modulus, pair], help="evaluate C(A, B) mod p**N"
+    )
     p_eval.add_argument("--method", choices=_METHODS, default="theorem")
     p_eval.add_argument("--trace", action="store_true", help="print the factor table")
     p_eval.add_argument("--format", choices=("text", "records"), default="text")
-    p_eval.add_argument("A")
-    p_eval.add_argument("B")
 
-    p_dec = sub.add_parser(
-        "decompose", parents=[common], help="print the pseudo-digit groups of (A, B)"
+    sub.add_parser(
+        "decompose", parents=[common, pair], help="print the pseudo-digit groups of (A, B)"
     )
-    p_dec.add_argument("A")
-    p_dec.add_argument("B")
-
-    p_cmp = sub.add_parser(
-        "compare", parents=[common], help="run all methods and check agreement"
+    sub.add_parser(
+        "compare", parents=[common, modulus, pair], help="run all methods and check agreement"
     )
-    p_cmp.add_argument("A")
-    p_cmp.add_argument("B")
-
     p_bench = sub.add_parser(
-        "bench", parents=[common], help="time the block-product method on random pairs"
+        "bench",
+        parents=[common, modulus],
+        help="time the block-product method on random pairs",
     )
     p_bench.add_argument("--digits", type=int, default=12, help="base-p digit count")
     p_bench.add_argument("--trials", type=int, default=20)
@@ -244,9 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         ensure_prime(args.prime)
-        if args.mod_exp < 1:
+        if getattr(args, "mod_exp", 1) < 1:
             raise ValueError("--mod-exp must be >= 1")
-        args.radix = _radix(args)
+        if "radix" in args:
+            args.radix = _radix(args)
         _check_output(args)
         if args.command == "eval":
             return run_eval(args)

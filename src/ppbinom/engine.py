@@ -11,8 +11,9 @@
   window comparison fails.
 * ``lucas_evaluate``: the classic single-digit product mod p.
 
-All three track values as ``p**valuation * unit`` with the unit held at a
-fixed precision, so nothing ever materializes the exact binomial.
+All three track block values as (valuation, unit) pairs, ``p**valuation
+* unit`` with the unit held at a fixed precision, so nothing ever
+materializes the exact binomial.  A trace records them as ``ValuedUnit``.
 """
 
 from __future__ import annotations
@@ -23,13 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .digits import DigitString, _digits_of, ensure_prime, subtract_with_borrows
-from .errors import (
-    NegativeValuation,
-    PrecisionMismatch,
-    TooLarge,
-    _check_pair,
-    describe_int,
-)
+from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
 from .pseudo import PseudoExpansion, block, decompose, pseudo_valuation
 
 __all__ = [
@@ -37,7 +32,6 @@ __all__ = [
     "Factor",
     "EvalTrace",
     "exact_binom_mod",
-    "vu_div",
     "theorem_factors",
     "theorem_evaluate",
     "lucas_evaluate",
@@ -49,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class ValuedUnit:
-    """p**valuation times a unit residue known modulo p**precision.
+    """p**valuation times a unit residue known modulo p**precision: a
+    traced factor's value.
 
     The represented quantity is congruent to ``p**valuation * unit``
     modulo ``p**(valuation + precision)``.
@@ -79,34 +74,16 @@ class ValuedUnit:
         return f"{self.p}^{self.valuation} {self.unit}"
 
 
-def _check_compatible(x: ValuedUnit, y: ValuedUnit) -> None:
-    if x.p != y.p or x.precision != y.precision:
-        raise PrecisionMismatch(
-            f"cannot combine units at {x.p}**{x.precision} and {y.p}**{y.precision}"
-        )
-
-
-def vu_div(x: ValuedUnit, y: ValuedUnit) -> ValuedUnit:
-    """Divide: valuations subtract, units divide via the modular inverse.
-
-    Raises NegativeValuation when the quotient would have more p-content
-    below the line than above, i.e. is not p-integral.
-    """
-    _check_compatible(x, y)
-    v = x.valuation - y.valuation
-    if v < 0:
-        raise NegativeValuation(
-            f"quotient valuation {x.valuation} - {y.valuation} is negative"
-        )
-    pe = x.p**x.precision
-    unit = x.unit * pow(y.unit, -1, pe) % pe
-    return ValuedUnit(x.p, v, unit, x.precision)
+# Traces repeat the same few values; sharing instances keeps tracing cheap.
+_vu = lru_cache(maxsize=1 << 12)(ValuedUnit)
 
 
 # Blocks whose precision p**e is at most this use a prefix table of the
 # p-free factorials mod p**e: 4 bytes an entry, so 64 KiB at the budget
-# and at most 512 KiB across the cached tables.  Larger blocks (p > 2**14
-# at e = 1, p > 128 at e = 2) keep the multiplicative loop.
+# and at most 1 MiB across the 16 cached tables (the 10 that the
+# low-valuation benchmark mix cycles through take about 120 KB).  Larger
+# blocks (p > 2**14 at e = 1, p > 128 at e = 2) keep the multiplicative
+# loop.
 _TABLE_BUDGET = 1 << 14
 
 # Above the table budget the loop costs min(b, a - b) steps; past this
@@ -114,8 +91,8 @@ _TABLE_BUDGET = 1 << 14
 _LOOP_BUDGET = 1 << 22
 
 
-def exact_binom_mod(a: int, b: int, p: int, e: int) -> ValuedUnit:
-    """C(a, b) as p**v times a unit known mod p**e.
+def exact_binom_mod(a: int, b: int, p: int, e: int) -> tuple[int, int]:
+    """C(a, b) as (v, unit): p**v times a unit known mod p**e.
 
     When p**e <= 2**14 it uses Granville's factorial formula over a
     prefix table of the p-free factorials mod p**e, built once per
@@ -129,16 +106,14 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> ValuedUnit:
     if e < 1:
         raise ValueError("precision e must be >= 1")
     if p**e <= _TABLE_BUDGET:
-        v, unit = _binom_table(a, b, p, e)
-    else:
-        steps = min(b, a - b)
-        if steps > _LOOP_BUDGET:
-            raise TooLarge(
-                f"C({describe_int(a)}, {describe_int(b)}) mod {describe_int(p)}**{e} "
-                f"needs {describe_int(steps)} loop steps, over the budget of {_LOOP_BUDGET}"
-            )
-        v, unit = _binom_loop(a, b, p, e)
-    return ValuedUnit(p, v, unit, e)
+        return _binom_table(a, b, p, e)
+    steps = min(b, a - b)
+    if steps > _LOOP_BUDGET:
+        raise TooLarge(
+            f"C({describe_int(a)}, {describe_int(b)}) mod {describe_int(p)}**{e} "
+            f"needs {describe_int(steps)} loop steps, over the budget of {_LOOP_BUDGET}"
+        )
+    return _binom_loop(a, b, p, e)
 
 
 def _binom_loop(a: int, b: int, p: int, e: int) -> tuple[int, int]:
@@ -164,7 +139,7 @@ def _binom_loop(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     return v, num * pow(den, -1, pe) % pe
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _unit_factorials(p: int, e: int) -> array:
     """T[r] = product of the k <= r prime to p, mod p**e, for r < p**e."""
     pe = p**e
@@ -208,9 +183,8 @@ def _binom_table(a: int, b: int, p: int, e: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=1 << 18)
-def _binom_vu(a: int, b: int, p: int, e: int) -> ValuedUnit:
-    # Block binomials repeat heavily across sweeps; ValuedUnit is immutable
-    # so sharing cached instances is safe.
+def _binom_vu(a: int, b: int, p: int, e: int) -> tuple[int, int]:
+    # Block binomials repeat heavily across sweeps.
     return exact_binom_mod(a, b, p, e)
 
 
@@ -218,13 +192,11 @@ def _binom_vu(a: int, b: int, p: int, e: int) -> ValuedUnit:
 class Factor:
     """One factor of an evaluation product.
 
-    ``index`` is the start position of the numerator block and ``width``
-    its span; the denominator is absent on the leading factor and when
-    the span is 1.
+    ``index`` is the start position of the numerator block; the
+    denominator is absent on the leading factor and at width 1.
     """
 
     index: int
-    width: int
     num_a: DigitString
     num_b: DigitString
     den_a: DigitString | None
@@ -255,23 +227,25 @@ class EvalTrace:
 def _walk(
     e: PseudoExpansion,
     width: int,
-    pe: int,
-    value: Callable[[int, int, int], ValuedUnit],
+    prec: int,
+    value: Callable[[int, int, int], tuple[int, int]],
     factors: list[Factor] | None = None,
 ) -> tuple[int, int]:
-    """(valuation, unit mod pe) of the block-quotient product over e's groups.
+    """(valuation, unit mod p**prec) of the block-quotient product over
+    e's groups.
 
     Position top = max(groups - width, 0) contributes the value of groups
     top and up; each lower position i the value of groups i .. i+width-1
     over that of groups i+1 .. i+width-1 (alone at width 1).
     ``value(av, bv, k)`` maps a block's A and B values and digit count to
-    a ValuedUnit.  The values roll: the denominator at i is the running
-    value cut to the digits of its groups, and the numerator folds group
-    i's digits in below it.  Units are accumulated apart and divided once;
+    its (valuation, unit) pair.  The values roll: the denominator at i is
+    the running value cut to the digits of its groups, and the numerator
+    folds group i's digits in below it.  Units are accumulated apart and divided once;
     given a list, the walk appends one Factor per position, with digit
     windows from ``block``.
     """
     p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
+    pe = p**prec
     top = max(len(bounds) - 1 - width, 0)
     # hi: the digit offset above group i; k: the denominator's digit count.
     hi = bounds[-1]
@@ -288,22 +262,24 @@ def _walk(
         for j in range(hi - 1, lo - 1, -1):
             av = a[j] + p * av
             bv = b[j] + p * bv
-        nv = value(av, bv, k + hi - lo)
+        nv, nu = value(av, bv, k + hi - lo)
         hi = lo
-        v += nv.valuation
-        num = num * nv.unit % pe
-        dv = None
-        if i < top and width > 1:
-            dv = value(dav, dbv, k)
-            v -= dv.valuation
-            den = den * dv.unit % pe
+        v += nv
+        num = num * nu % pe
+        has_den = i < top and width > 1
+        if has_den:
+            dv, du = value(dav, dbv, k)
+            v -= dv
+            den = den * du % pe
         if factors is not None:
             na, nb = block(e, i, width)
-            if dv is None:
-                factors.append(Factor(i, width, na, nb, None, None, nv, None, nv))
-            else:
+            nvu = _vu(p, nv, nu, prec)
+            if has_den:
                 da, db = block(e, i + 1, width - 1)
-                factors.append(Factor(i, width, na, nb, da, db, nv, dv, vu_div(nv, dv)))
+                q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, prec)
+                factors.append(Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, prec), q))
+            else:
+                factors.append(Factor(i, na, nb, None, None, nvu, None, nvu))
     return v, num * pow(den, -1, pe) % pe
 
 
@@ -318,7 +294,7 @@ def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
     if n < 1:
         raise ValueError("block width n must be >= 1")
     factors: list[Factor] = []
-    _walk(e, n, e.p**n, lambda x, y, k: _binom_vu(x, y, e.p, n), factors)
+    _walk(e, n, n, lambda x, y, k: _binom_vu(x, y, e.p, n), factors)
     return factors
 
 
@@ -368,7 +344,7 @@ def theorem_evaluate(
         return 0, tr
     n = N - m
     factors = [] if trace else None
-    total, unit = _walk(expansion, n, p**n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
+    total, unit = _walk(expansion, n, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
     assert total == m, "factor valuations must sum to the borrow count"
     if __debug__:
         sa = DigitString(expansion.a_digits, p)
@@ -393,14 +369,14 @@ def lucas_evaluate(A: int, B: int, p: int) -> int:
         db = b % p
         if da < db:
             return 0
-        result = result * _binom_vu(da, db, p, 1).unit % p
+        result = result * _binom_vu(da, db, p, 1)[1] % p
         a //= p
         b //= p
     return result
 
 
 @lru_cache(maxsize=1 << 18)
-def _dw_bracket(av: int, bv: int, k: int, p: int, e: int) -> ValuedUnit:
+def _dw_bracket(av: int, bv: int, k: int, p: int, e: int) -> tuple[int, int]:
     # The bracket <av/bv> of two k-digit windows, at precision e.  Strip
     # top digits while the A side is below the B side, paying a factor p
     # for each.  Equal blocks take the binomial branch too: they produce
@@ -411,13 +387,11 @@ def _dw_bracket(av: int, bv: int, k: int, p: int, e: int) -> ValuedUnit:
         stripped += 1
         pk //= p
         if pk == 1:
-            return ValuedUnit(p, stripped, 1, e)
+            return stripped, 1
         av %= pk
         bv %= pk
-    inner = _binom_vu(av, bv, p, e)
-    if not stripped:
-        return inner
-    return ValuedUnit(p, inner.valuation + stripped, inner.unit, e)
+    v, unit = _binom_vu(av, bv, p, e)
+    return v + stripped, unit
 
 
 def davis_webb_evaluate(
@@ -449,11 +423,10 @@ def davis_webb_evaluate(
     b = bdig + (0,) * (L - len(bdig))
     e = PseudoExpansion(p, a, b, tuple(range(L + 1)))
     factors = [] if trace else None
-    pe = p**N
-    m, unit = _walk(e, N, pe, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
+    m, unit = _walk(e, N, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
     if m < 0:
         raise NegativeValuation("bracket product is not p-integral")
-    residue = 0 if m >= N else p**m * unit % pe
+    residue = 0 if m >= N else p**m * unit % p**N
     tr = EvalTrace("davis-webb", p, N, N, m, unit, residue, tuple(factors)) if trace else None
     return residue, tr
 

@@ -51,9 +51,5 @@ class NegativeValuation(ArithmeticError):
     """A quotient came out with more p-content below the line than above."""
 
 
-class PrecisionMismatch(ValueError):
-    """Valued units with different precision or different prime were combined."""
-
-
 class TooLarge(ValueError):
     """An exact computation would exceed its configured size guard."""

@@ -162,7 +162,7 @@ def test_acceptance_6_lemma_factor_valuations(capsys):
         B = rng.randrange(A + 1)
         n = rng.randrange(1, 6)
         e = decompose(A, B, p)
-        factors = theorem_factors(e, n)  # vu_div inside must never go negative
+        factors = theorem_factors(e, n)  # no traced quotient may go negative
         lead = factors[0]
         assert lead.value.valuation == block_valuation(e, lead.index, n)
         total = lead.value.valuation

@@ -322,6 +322,14 @@ class TestBench:
         assert "oracle: skipped 2" in out
         assert "theorem: total" in out
 
+    def test_large_prime_needs_no_radix(self, capsys):
+        # bench reads no A/B text, so p > 36 needs no --radix
+        code, out, err = run(
+            capsys, "bench", "--prime", "37", "--digits", "3", "--trials", "2",
+        )
+        assert (code, err) == (0, "")
+        assert "oracle: agreed 2/2" in out
+
 
 class TestErrors:
     def test_not_prime(self, capsys):
@@ -381,6 +389,19 @@ class TestErrors:
     def test_bad_mod_exp(self, capsys):
         code, _, err = run(capsys, "eval", "--prime", "3", "--mod-exp", "0", "2", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--prime", "3", "--mod-exp", "2", "12", "1"],
+            ["bench", "--prime", "3", "--radix", "10", "--trials", "1"],
+        ],
+        ids=["decompose-mod-exp", "bench-radix"],
+    )
+    def test_options_a_command_ignores_are_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,15 +17,8 @@ from ppbinom.engine import (
     lucas_evaluate,
     theorem_evaluate,
     theorem_factors,
-    vu_div,
 )
-from ppbinom.errors import (
-    NegativeValuation,
-    NotPrime,
-    OrderViolation,
-    PrecisionMismatch,
-    TooLarge,
-)
+from ppbinom.errors import NegativeValuation, NotPrime, OrderViolation, TooLarge
 from ppbinom.oracle import binom_exact, kummer_valuation
 from ppbinom.pseudo import block_valuation, decompose, pseudo_valuation
 
@@ -71,52 +64,51 @@ class TestValuedUnit:
 
 
 class TestVuArithmetic:
+    """A traced factor's value is its numerator over its denominator."""
+
     def test_worked_ratio(self):
-        num = ValuedUnit(3, 2, 5, 3)  # 45 = 3^2 * 5
-        den = ValuedUnit(3, 1, 25, 3)  # 75 = 3^1 * 25
-        q = vu_div(num, den)
-        assert (q.valuation, q.unit) == (1, 11)
+        f = theorem_evaluate(A3, B3, 3, 5)[1].factors[4]
+        assert f.num_value == ValuedUnit(3, 2, 5, 3)  # 45 = 3^2 * 5
+        assert f.den_value == ValuedUnit(3, 1, 25, 3)  # 75 = 3^1 * 25
+        assert f.value == ValuedUnit(3, 1, 11, 3)
 
     def test_self_division(self):
-        x = ValuedUnit(5, 3, 17, 4)
-        q = vu_div(x, x)
-        assert (q.valuation, q.unit) == (0, 1)
+        f = davis_webb_evaluate(A8, B8, 3, 2)[1].factors[1]  # <12/20>/<1/2>
+        assert f.num_value == f.den_value == ValuedUnit(3, 1, 1, 2)
+        assert f.value == ValuedUnit(3, 0, 1, 2)
 
     def test_inverse_against_xgcd(self):
-        num = ValuedUnit(3, 2, 10, 3)
-        den = ValuedUnit(3, 2, 23, 3)
+        f = theorem_evaluate(A3, B3, 3, 5)[1].factors[5]
+        assert (f.num_value.unit, f.den_value.unit) == (10, 23)
         g, inv, _ = xgcd(23, 27)
         assert g == 1
         expected = 10 * inv % 27
-        assert vu_div(num, den).unit == expected == 11
+        assert f.value == ValuedUnit(3, 0, expected, 3)
+        assert expected == 11
 
-    def test_precision_mismatch(self):
-        with pytest.raises(PrecisionMismatch):
-            vu_div(ValuedUnit(3, 0, 2, 3), ValuedUnit(3, 0, 2, 4))
-        with pytest.raises(PrecisionMismatch):
-            vu_div(ValuedUnit(3, 0, 2, 3), ValuedUnit(5, 0, 2, 3))
-
-    def test_negative_valuation_quotient(self):
+    def test_negative_valuation_quotient(self, monkeypatch):
+        # brackets whose (N-1)-digit denominators carry more p than
+        # their N-digit numerators
+        monkeypatch.setattr(engine, "_dw_bracket", lambda av, bv, k, p, e: (int(k < e), 1))
         with pytest.raises(NegativeValuation):
-            vu_div(ValuedUnit(3, 0, 2, 3), ValuedUnit(3, 1, 2, 3))
+            davis_webb_evaluate(A8, B8, 3, 5)
+        with pytest.raises(NegativeValuation, match="not p-integral"):
+            davis_webb_evaluate(A8, B8, 3, 5, trace=False)
 
 
 class TestExactBinomMod:
     def test_two_borrow_block(self):
         # C(12120_3, 01202_3) = C(150, 47), divisible by 9
-        vu = exact_binom_mod(150, 47, 3, 3)
-        assert (vu.valuation, vu.unit) == (2, 5)
-        assert math.comb(150, 47) % 3**5 == vu.value_mod() == 45
+        assert exact_binom_mod(150, 47, 3, 3) == (2, 5)
+        assert math.comb(150, 47) % 3**5 == 3**2 * 5
 
     def test_one_borrow_block(self):
         # C(121_3, 012_3) = C(16, 5), evaluated mod 81 = 3**(1+3)
-        vu = exact_binom_mod(16, 5, 3, 3)
-        assert (vu.valuation, vu.unit) == (1, 25)
-        assert math.comb(16, 5) % 81 == 75 == vu.value_mod()
+        assert exact_binom_mod(16, 5, 3, 3) == (1, 25)
+        assert math.comb(16, 5) % 81 == 75 == 3 * 25
 
     def test_choose_zero(self):
-        vu = exact_binom_mod(912, 0, 7, 2)
-        assert (vu.valuation, vu.unit) == (0, 1)
+        assert exact_binom_mod(912, 0, 7, 2) == (0, 1)
 
     def test_against_comb_sweep(self):
         # Both paths, at p**e within the table budget; p = 2 with e >= 3
@@ -129,13 +121,12 @@ class TestExactBinomMod:
             for a in range(100):
                 for b in range(a + 1):
                     want = split_p(math.comb(a, b), p, pe)
-                    vu = exact_binom_mod(a, b, p, e)
-                    assert (vu.valuation, vu.unit) == want
+                    assert exact_binom_mod(a, b, p, e) == want
                     assert engine._binom_loop(a, b, p, e) == want
 
     def test_large_symmetric(self):
         vu = exact_binom_mod(10**6, 10**6 - 3, 5, 4)
-        assert (vu.valuation, vu.unit) == split_p(math.comb(10**6, 3), 5, 5**4)
+        assert vu == split_p(math.comb(10**6, 3), 5, 5**4)
 
     def test_table_path_against_loop(self):
         rng = random.Random(20250226)
@@ -156,7 +147,16 @@ class TestExactBinomMod:
             before = engine._unit_factorials.cache_info()
             vu = exact_binom_mod(a, b, p, e)
             assert engine._unit_factorials.cache_info() == before
-            assert (vu.valuation, vu.unit) == split_p(math.comb(a, b), p, p**e)
+            assert vu == split_p(math.comb(a, b), p, p**e)
+
+    def test_table_cache_holds_a_mix_of_ten(self):
+        # a round-robin over 10 (p, e) tables builds each once
+        engine._unit_factorials.cache_clear()
+        pairs = [(2, e) for e in range(1, 6)] + [(3, e) for e in range(1, 4)] + [(5, 1), (7, 1)]
+        for _ in range(2):
+            for p, e in pairs:
+                exact_binom_mod(p**e + 1, 1, p, e)
+        assert engine._unit_factorials.cache_info().misses == 10
 
     def test_over_loop_budget_raises(self):
         with pytest.raises(TooLarge, match="loop steps"):
@@ -308,31 +308,26 @@ class TestDwBracket:
 
     def test_recursive_descent(self):
         # 12021 over 20211
-        vu = _dw_bracket(int("12021", 3), int("20211", 3), 5, 3, 5)
+        v, unit = _dw_bracket(int("12021", 3), int("20211", 3), 5, 3, 5)
         inner = exact_binom_mod(int("2021", 3), int("0211", 3), 3, 5)
-        assert vu.valuation == inner.valuation + 1
-        assert vu.unit == inner.unit
+        assert (v, unit) == (inner[0] + 1, inner[1])
 
     def test_denominator_path(self):
         # 0211 over 2111
         vu = _dw_bracket(int("0211", 3), int("2111", 3), 4, 3, 5)
         inner = exact_binom_mod(int("211", 3), int("111", 3), 3, 5)
-        assert (vu.valuation, vu.unit) == (inner.valuation + 1, inner.unit)
+        assert vu == (inner[0] + 1, inner[1])
 
     def test_single_digits(self):
-        ge = _dw_bracket(4, 2, 1, 5, 2)
-        assert (ge.valuation, ge.unit) == (0, 6)
-        lt = _dw_bracket(1, 3, 1, 5, 2)
-        assert (lt.valuation, lt.unit) == (1, 1)
+        assert _dw_bracket(4, 2, 1, 5, 2) == (0, 6)
+        assert _dw_bracket(1, 3, 1, 5, 2) == (1, 1)
 
     def test_equal_blocks_take_binomial_branch(self):
-        vu = _dw_bracket(int("102", 3), int("102", 3), 3, 3, 4)
-        assert (vu.valuation, vu.unit) == (0, 1)
+        assert _dw_bracket(int("102", 3), int("102", 3), 3, 3, 4) == (0, 1)
 
     def test_long_descent(self):
         # 1200 stripped top digits leave the bare factor p**1200.
-        vu = _dw_bracket(3**1199, 3**1200 - 1, 1200, 3, 1200)
-        assert (vu.valuation, vu.unit) == (1200, 1)
+        assert _dw_bracket(3**1199, 3**1200 - 1, 1200, 3, 1200) == (1200, 1)
         assert davis_webb_evaluate(3**1200, 3**1200 - 1, 3, 1201)[0] == 3**1200
 
 
@@ -560,3 +555,24 @@ class TestEarlyExit:
         want = theorem_evaluate(A, B, 3, 50000)[0]
         assert theorem_evaluate(A, B, 3, 50000, trace=False) == (want, None)
         assert len(decompose_calls[0][3].a_digits) <= A.bit_length() + 1
+
+
+def test_benchmark_hooks_stay_live(monkeypatch):
+    # The benchmark wraps engine.exact_binom_mod and reads the caches of
+    # _binom_vu and _dw_bracket: each block miss must reach the module
+    # global once, and Davis-Webb must go through its bracket cache.
+    calls = []
+    real = engine.exact_binom_mod
+    monkeypatch.setattr(engine, "exact_binom_mod", lambda *a: calls.append(a) or real(*a))
+    engine._binom_vu.cache_clear()
+    engine._dw_bracket.cache_clear()
+    rng = random.Random(5)
+    p, N = 3, 8
+    ad = [rng.randrange(p) for _ in range(300)] + [1]
+    A = from_digits(ad, p)
+    B = from_digits([rng.randrange(d + 1) for d in ad], p)  # m = 0
+    theorem_evaluate(A, B, p, N, trace=False)
+    misses = engine._binom_vu.cache_info().misses
+    assert misses > 0 and len(calls) == misses
+    davis_webb_evaluate(A, B, p, N, trace=False)
+    assert engine._dw_bracket.cache_info().misses > 0
