@@ -50,7 +50,7 @@ def _check_output(args: argparse.Namespace) -> None:
         raise ValueError("base-p text output (decompose, --trace, records) needs p <= 36")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     digits = math.floor(N * math.log10(p)) + 1
-    if args.command in ("eval", "compare") and limit and digits > limit:
+    if "mod_exp" in args and limit and digits > limit:
         raise ValueError(
             f"modulus {p}**{N} has about {digits} decimal digits, over the "
             f"int-to-str limit of {limit} (sys.set_int_max_str_digits)"
@@ -86,13 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--method", choices=_METHODS, default="theorem")
     p_eval.add_argument("--trace", action="store_true", help="print the factor table")
     p_eval.add_argument("--format", choices=("text", "records"), default="text")
+    p_eval.set_defaults(run=run_eval)
 
     sub.add_parser(
         "decompose", parents=[common, pair], help="print the pseudo-digit groups of (A, B)"
-    )
+    ).set_defaults(run=run_decompose)
     sub.add_parser(
         "compare", parents=[common, modulus, pair], help="run all methods and check agreement"
-    )
+    ).set_defaults(run=run_compare)
     p_bench = sub.add_parser(
         "bench",
         parents=[common, modulus],
@@ -101,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--digits", type=int, default=12, help="base-p digit count")
     p_bench.add_argument("--trials", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.set_defaults(run=run_bench)
 
     return parser
 
@@ -130,9 +132,7 @@ def _eval_one(args: argparse.Namespace, method: str, A: int, B: int, want_trace:
         return res, p**N, tr
     if method == "lucas":
         return engine.lucas_evaluate(A, B, p), p, None
-    if method == "exact":
-        return oracle.binom_exact(A, B) % p**N, p**N, None
-    raise ValueError(f"unknown method {method!r}")
+    return oracle.binom_exact(A, B) % p**N, p**N, None
 
 
 def run_eval(args: argparse.Namespace) -> int:
@@ -249,15 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         if "radix" in args:
             args.radix = _radix(args)
         _check_output(args)
-        if args.command == "eval":
-            return run_eval(args)
-        if args.command == "decompose":
-            return run_decompose(args)
-        if args.command == "compare":
-            return run_compare(args)
-        if args.command == "bench":
-            return run_bench(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -102,7 +102,7 @@ class DigitString:
         return len(self.digits)
 
     def __str__(self) -> str:
-        return "".join(_ALPHABET[d] for d in reversed(self.digits))
+        return _text(self.digits)
 
     @property
     def value(self) -> int:
@@ -110,6 +110,15 @@ class DigitString:
         for d in reversed(self.digits):
             v = v * self.base + d
         return v
+
+
+def _text(digits: tuple[int, ...]) -> str:
+    """Most-significant-first text of little-endian digits."""
+    try:
+        return "".join([_ALPHABET[d] for d in reversed(digits)])
+    except IndexError:
+        d = next(d for d in digits if d >= len(_ALPHABET))
+        raise ValueError(f"digit {d} has no character (text digits stop at z = 35)") from None
 
 
 @lru_cache(maxsize=64)

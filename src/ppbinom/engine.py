@@ -227,11 +227,10 @@ class EvalTrace:
 def _walk(
     e: PseudoExpansion,
     width: int,
-    prec: int,
     value: Callable[[int, int, int], tuple[int, int]],
     factors: list[Factor] | None = None,
 ) -> tuple[int, int]:
-    """(valuation, unit mod p**prec) of the block-quotient product over
+    """(valuation, unit mod p**width) of the block-quotient product over
     e's groups.
 
     Position top = max(groups - width, 0) contributes the value of groups
@@ -245,7 +244,7 @@ def _walk(
     windows from ``block``.
     """
     p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
-    pe = p**prec
+    pe = p**width
     top = max(len(bounds) - 1 - width, 0)
     # hi: the digit offset above group i; k: the denominator's digit count.
     hi = bounds[-1]
@@ -273,11 +272,11 @@ def _walk(
             den = den * du % pe
         if factors is not None:
             na, nb = block(e, i, width)
-            nvu = _vu(p, nv, nu, prec)
+            nvu = _vu(p, nv, nu, width)
             if has_den:
                 da, db = block(e, i + 1, width - 1)
-                q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, prec)
-                factors.append(Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, prec), q))
+                q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
+                factors.append(Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, width), q))
             else:
                 factors.append(Factor(i, na, nb, None, None, nvu, None, nvu))
     return v, num * pow(den, -1, pe) % pe
@@ -294,7 +293,7 @@ def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
     if n < 1:
         raise ValueError("block width n must be >= 1")
     factors: list[Factor] = []
-    _walk(e, n, n, lambda x, y, k: _binom_vu(x, y, e.p, n), factors)
+    _walk(e, n, lambda x, y, k: _binom_vu(x, y, e.p, n), factors)
     return factors
 
 
@@ -344,7 +343,7 @@ def theorem_evaluate(
         return 0, tr
     n = N - m
     factors = [] if trace else None
-    total, unit = _walk(expansion, n, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
+    total, unit = _walk(expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
     assert total == m, "factor valuations must sum to the borrow count"
     if __debug__:
         sa = DigitString(expansion.a_digits, p)
@@ -423,7 +422,7 @@ def davis_webb_evaluate(
     b = bdig + (0,) * (L - len(bdig))
     e = PseudoExpansion(p, a, b, tuple(range(L + 1)))
     factors = [] if trace else None
-    m, unit = _walk(e, N, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
+    m, unit = _walk(e, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
     if m < 0:
         raise NegativeValuation("bracket product is not p-integral")
     residue = 0 if m >= N else p**m * unit % p**N

@@ -19,10 +19,9 @@ __all__ = [
     "binom_mod_pascal",
     "kummer_valuation",
     "pascal_rows",
-    "DEFAULT_MAX_DIGITS",
 ]
 
-DEFAULT_MAX_DIGITS = 10**6
+_MAX_DIGITS = 10**6
 PASCAL_LIMIT = 10**4
 # binom_exact's loop does min(b, a-b) steps on numbers of up to the
 # result's size.  C(10**5, 5*10**4), just over this many steps x result
@@ -47,19 +46,19 @@ def _result_digits_estimate(a: int, b: int) -> int:
         return k * digits_a
 
 
-def binom_exact(a: int, b: int, max_digits: int = DEFAULT_MAX_DIGITS) -> int:
+def binom_exact(a: int, b: int) -> int:
     """Exact C(a, b) by the multiplicative formula, one exact division per step.
 
-    Refuses (TooLarge) when the result would exceed ``max_digits`` decimal
+    Refuses (TooLarge) when the result would exceed _MAX_DIGITS decimal
     digits, or when the loop would take over _COST_GUARD digit steps;
     the guards keep this a desk-scale tool.
     """
     _check_pair(a, b)
     estimate = _result_digits_estimate(a, b)
-    if estimate > max_digits:
+    if estimate > _MAX_DIGITS:
         raise TooLarge(
             f"C({describe_int(a)}, {describe_int(b)}) would have about "
-            f"{describe_int(estimate)} digits, over the {max_digits} digit guard"
+            f"{describe_int(estimate)} digits, over the {_MAX_DIGITS} digit guard"
         )
     cost = min(b, a - b) * estimate
     if cost > _COST_GUARD:

@@ -11,7 +11,9 @@ congruences.
 
 from __future__ import annotations
 
-from .digits import _ALPHABET, DigitString, _digits_of, ensure_prime
+from dataclasses import dataclass
+
+from .digits import DigitString, _digits_of, _text, ensure_prime
 from .errors import EmptyBlock, OrderViolation, describe_int
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class PseudoExpansion:
     """Pseudo-digit segmentation of a pair (A, B) in base p.
 
@@ -32,28 +35,14 @@ class PseudoExpansion:
     groups and runs of groups as digit strings.
     """
 
-    __slots__ = ("p", "a_digits", "b_digits", "bounds")
-
-    def __init__(
-        self,
-        p: int,
-        a_digits: tuple[int, ...],
-        b_digits: tuple[int, ...],
-        bounds: tuple[int, ...],
-    ) -> None:
-        self.p = p
-        self.a_digits = a_digits
-        self.b_digits = b_digits
-        self.bounds = bounds
+    p: int
+    a_digits: tuple[int, ...]
+    b_digits: tuple[int, ...]
+    bounds: tuple[int, ...]
 
     @property
     def num_pairs(self) -> int:
         return len(self.bounds) - 1
-
-    @property
-    def d(self) -> int:
-        """Index of the most significant pair."""
-        return len(self.bounds) - 2
 
     def a_groups(self) -> str:
         """Parenthesized big-endian groups, e.g. ``(4)(323)(2)(1)(433)(0)(12)``."""
@@ -63,17 +52,10 @@ class PseudoExpansion:
         return self._groups(self.b_digits)
 
     def _groups(self, digits: tuple[int, ...]) -> str:
-        parts = []
-        bounds = self.bounds
-        for i in range(self.num_pairs - 1, -1, -1):
-            lo, hi = bounds[i], bounds[i + 1]
-            parts.append("(" + "".join(_ALPHABET[digits[j]] for j in range(hi - 1, lo - 1, -1)) + ")")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return (
-            f"PseudoExpansion(p={self.p}, a={self.a_groups()}, b={self.b_groups()})"
-        )
+        # group i sits at text[end - bounds[i + 1]:end - bounds[i]]
+        text, down = _text(digits), self.bounds[::-1]
+        end = down[0]
+        return "".join([f"({text[end - hi:end - lo]})" for hi, lo in zip(down, down[1:])])
 
 
 def decompose(A: int, B: int, p: int) -> PseudoExpansion:

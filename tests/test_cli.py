@@ -264,6 +264,17 @@ class TestBoundaries:
         assert proc.returncode == 0
         assert proc.stdout.endswith(f" (mod {2**14000})\n")
 
+    def test_bench_modulus_too_long_to_print(self):
+        # bench had no modulus bound: N = 2*10^7 ran past 20 s
+        proc = run_module(
+            "bench", "--prime", "3", "-N", "20000000", "--digits", "5", "--trials", "1",
+            timeout=2,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: modulus 3**20000000 has about ")
+        assert "Traceback" not in proc.stderr
+
     def test_oracle_cost_guard(self):
         # C(10^6, 5*10^5) has 3*10^5 digits, inside the size guard; the
         # oracle's loop ran for minutes before its cost guard.

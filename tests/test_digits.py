@@ -78,6 +78,12 @@ class TestToBaseP:
         assert s.digits == (0, 0, 1)
         assert str(s) == "100"
 
+    def test_text_stops_at_z(self):
+        # digits past 35 have no character; this was a bare IndexError
+        assert str(to_base_p(35, 37)) == "z"
+        with pytest.raises(ValueError, match="digit 100 "):
+            str(to_base_p(100, 101))
+
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             to_base_p(5, 4)

@@ -396,6 +396,12 @@ class TestTraceFormatting:
             keys = [kv.split("=")[0] for kv in line.split()]
             assert keys == ["index", "num_block", "den_block", "val", "unit", "prec"]
 
+    def test_text_past_z_is_a_value_error(self):
+        # a base-101 trace has digit 100 in its blocks; this was an IndexError
+        _, tr = theorem_evaluate(100, 50, 101, 2)
+        with pytest.raises(ValueError, match="digit 100 "):
+            format_trace_text(tr)
+
     def test_degenerate_trace_text(self):
         _, tr = theorem_evaluate(A3, B3, 3, 2)
         text = format_trace_text(tr)

@@ -49,11 +49,6 @@ class TestBinomExact:
         with pytest.raises(TooLarge, match="digits, over the 1000000 digit guard"):
             binom_exact(10**9, 5 * 10**8)
 
-    def test_custom_guard(self):
-        with pytest.raises(TooLarge):
-            binom_exact(100, 50, max_digits=10)
-        assert binom_exact(100, 50, max_digits=50) == math.comb(100, 50)
-
 
 class TestBinomModPascal:
     def test_examples(self):

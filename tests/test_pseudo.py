@@ -34,13 +34,24 @@ class TestDecompose:
         assert e.a_groups() == "(4)(323)(2)(1)(433)(0)(12)"
         assert e.b_groups() == "(3)(234)(1)(1)(244)(0)(03)"
         assert e.num_pairs == 7
-        assert e.d == 6
+        assert e.num_pairs - 1 == 6
 
     def test_base3_golden_groups(self):
         e = decompose(A3, B3, 3)
         assert e.a_groups() == "(1)(2)(2)(1)(1)(21)(20)(2)"
         assert e.b_groups() == "(1)(0)(1)(1)(0)(12)(02)(1)"
         assert e.num_pairs == 8
+
+    def test_record_repr_and_immutability(self):
+        # the hand-written repr raised IndexError past base 36
+        e = decompose(100, 50, 101)
+        assert repr(e) == (
+            "PseudoExpansion(p=101, a_digits=(100,), b_digits=(50,), bounds=(0, 1))"
+        )
+        with pytest.raises(AttributeError):
+            e.p = 3
+        with pytest.raises(ValueError, match="digit 100 "):
+            e.a_groups()
 
     def test_equal_pair_is_all_singletons(self):
         e = decompose(A3, A3, 3)
@@ -49,7 +60,7 @@ class TestDecompose:
 
     def test_zero_zero(self):
         e = decompose(0, 0, 7)
-        assert e.d == 0
+        assert e.num_pairs - 1 == 0
         a, b = block(e, 0, 1)
         assert (a.value, b.value, len(a)) == (0, 0, 1)
 
@@ -102,7 +113,7 @@ class TestDecompose:
     def test_pair_accessor_beyond_top_is_zero(self):
         # block(e, i, 1) reads group i; above the top it is one zero digit
         e = decompose(7, 7, 3)
-        a, b = block(e, e.d + 3, 1)
+        a, b = block(e, e.num_pairs - 1 + 3, 1)
         assert (a.value, b.value, len(a)) == (0, 0, 1)
 
 
