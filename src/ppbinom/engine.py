@@ -22,6 +22,7 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf, isqrt, prod
 
 from .digits import DigitString, _digits_of, ensure_prime, subtract_with_borrows
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
@@ -78,36 +79,45 @@ class ValuedUnit:
 _vu = lru_cache(maxsize=1 << 12)(ValuedUnit)
 
 
-# Blocks whose precision p**e is at most this use a prefix table of the
+# Blocks whose precision p**e is at most this read a prefix table of the
 # p-free factorials mod p**e: 4 bytes an entry, so 64 KiB at the budget
 # and at most 1 MiB across the 16 cached tables (the 10 that the
-# low-valuation benchmark mix cycles through take about 120 KB).  Larger
-# blocks (p > 2**14 at e = 1, p > 128 at e = 2) keep the multiplicative
-# loop.
+# low-valuation benchmark mix cycles through take about 120 KB).  Above
+# it the same level walk reads checkpoints, at e = 1 for any p and at
+# e >= 2 for p within this budget; larger p at e >= 2 has only the
+# multiplicative loop.
 _TABLE_BUDGET = 1 << 14
 
-# Above the table budget the loop costs min(b, a - b) steps; past this
-# many (a few seconds) the primitive raises TooLarge instead of running.
+# The one cost budget, in loop steps (a few seconds): above the table
+# budget the primitive takes the cheaper of the loop, at min(b, a - b)
+# steps, and the checkpoints, at their estimated set-up (when not built
+# yet) plus reads, and raises TooLarge when neither fits.
 _LOOP_BUDGET = 1 << 22
 
 
 def exact_binom_mod(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     """C(a, b) as (v, unit): p**v times a unit known mod p**e.
 
-    When p**e <= 2**14 it uses Granville's factorial formula over a
-    prefix table of the p-free factorials mod p**e, built once per
-    (p, e); each call then costs O(log_p a) table lookups.  Above that
-    budget it runs the multiplicative formula prod_{i=1..b} (a-b+i)/i at
-    O(min(b, a-b)) multiplications, and raises TooLarge when that count
-    exceeds 2**22.
+    Granville's formula reduces the unit to unit factorials (x!)_p mod
+    p**e at the O(log_p a) levels floor(a/p**j).  When p**e <= 2**14
+    they come from a prefix table built once per (p, e).  Above that
+    they come from checkpoints, built once per (p, e) with the last two
+    kept: x! mod p every ceil(sqrt p) at e = 1, and at e >= 2 with
+    p <= 2**14 doubling polynomials.  The multiplicative formula
+    prod_{i=1..b} (a-b+i)/i, at min(b, a-b) steps, runs where there are
+    no checkpoints (p > 2**14 at e >= 2) or where it is estimated cheaper
+    than their set-up plus reads.  TooLarge is raised when the cheaper of
+    the two exceeds 2**22 steps.
     """
     _check_pair(a, b)
     ensure_prime(p)
     if e < 1:
         raise ValueError("precision e must be >= 1")
     if p**e <= _TABLE_BUDGET:
-        return _binom_table(a, b, p, e)
+        return _binom_levels(a, b, p, e, _unit_factorials(p, e))
     steps = min(b, a - b)
+    if _checkpoint_cost(a, p, e) < min(steps, _LOOP_BUDGET + 1):
+        return _binom_levels(a, b, p, e, _checkpoints(p, e))
     if steps > _LOOP_BUDGET:
         raise TooLarge(
             f"C({describe_int(a)}, {describe_int(b)}) mod {describe_int(p)}**{e} "
@@ -152,17 +162,132 @@ def _unit_factorials(p: int, e: int) -> array:
     return table
 
 
-def _binom_table(a: int, b: int, p: int, e: int) -> tuple[int, int]:
+def _prod_mod(lo: int, hi: int, m: int, acc: int) -> int:
+    """acc times the product of lo .. hi-1, mod m, 64 factors a chunk."""
+    for j in range(lo, hi, 64):
+        acc = acc * prod(range(j, min(j + 64, hi))) % m
+    return acc
+
+
+def _times_run(poly: list[int], lo: int, hi: int, m: int) -> list[int]:
+    """poly(z) times z + j for j = lo .. hi-1, mod m, cut below degree len(poly)."""
+    if len(poly) == 1:
+        return [_prod_mod(lo, hi, m, poly[0])]
+    for j in range(lo, hi):
+        poly = [j * poly[0] % m] + [(j * poly[t] + poly[t - 1]) % m for t in range(1, len(poly))]
+    return poly
+
+
+def _horner(coeffs: list[int], z: int, m: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * z + c) % m
+    return v
+
+
+class _Checkpoints:
+    """T[x] = (x!)_p mod p**e for x < p**e, read like the prefix table.
+
+    Write x = q p + r.  In z = p y, the product of p y + j over j = 1..r
+    is a polynomial P_r(z) whose terms from z**e up vanish mod p**e at
+    z = p q, so e coefficients mod p**e hold it.  P_r is kept at every
+    multiple of ceil(sqrt p), and a read finishes from the one at or
+    below r with fewer than sqrt(p) products.  The whole runs below q p
+    come from doubling: H_0 = P_{p-1} covers one run of p - 1 units,
+    H_{k+1}(z) = H_k(z) H_k(z + p 2**k) covers 2**(k+1), and the runs
+    are H_k(p o) over the set bits k of q, o being the part of q above
+    bit k.  At e = 1 every P_r is a constant (r! mod p) and q is 0.
+    Set-up takes O(p e + e**3 log p) operations (at e = 1, p
+    multiplications inside ``math.prod``), and a read O(e**2 log p + sqrt p).
+    """
+
+    __slots__ = ("p", "e", "m", "step", "marks", "h")
+
+    def __init__(self, p: int, e: int) -> None:
+        m = p**e
+        step = isqrt(p - 1) + 1
+        poly = [1] + [0] * (e - 1)
+        marks = list(poly)  # flat: the e coefficients of each kept P_r in turn
+        for top in range(step, p, step):
+            poly = _times_run(poly, top - step + 1, top + 1, m)
+            marks += poly
+        h = [_times_run(poly, (p - 1) // step * step + 1, p, m)]
+        for k in range((p ** (e - 1) - 1).bit_length() - 1):
+            f = h[-1]
+            g = list(f)
+            c = p << k
+            # Taylor shift g(z) -> g(z + c) by repeated synthetic division
+            for i in range(e - 1):
+                for t in range(e - 2, i - 1, -1):
+                    g[t] = (g[t] + c * g[t + 1]) % m
+            h.append([sum(f[i] * g[t - i] for i in range(t + 1)) % m for t in range(e)])
+        self.p, self.e, self.m, self.step, self.marks, self.h = p, e, m, step, marks, h
+
+    def __getitem__(self, x: int) -> int:
+        p, e, m = self.p, self.e, self.m
+        q, r = divmod(x, p)
+        i = r // self.step
+        qp = q * p
+        acc = _horner(self.marks[i * e : i * e + e], qp % m, m)
+        acc = _prod_mod(qp + i * self.step + 1, x + 1, m, acc)
+        o = 0
+        for k in range(q.bit_length() - 1, -1, -1):
+            if q >> k & 1:
+                acc = acc * _horner(self.h[k], p * o % m, m) % m
+                o += 1 << k
+        return acc
+
+
+# Checkpoint sources, least recently used first.  A block walk reads one
+# (p, e) throughout; two keep both widths of a call warm.  The set-up
+# budget bounds each: at e = 1, p < 3 * 2**22 and about 3600 ints.
+_CHECKPOINTS_KEPT = 2
+_checkpoint_cache: dict[tuple[int, int], _Checkpoints] = {}
+
+
+def _checkpoints(p: int, e: int) -> _Checkpoints:
+    source = _checkpoint_cache.pop((p, e), None)
+    if source is None:
+        source = _Checkpoints(p, e)
+        if len(_checkpoint_cache) >= _CHECKPOINTS_KEPT:
+            del _checkpoint_cache[next(iter(_checkpoint_cache))]
+    _checkpoint_cache[p, e] = source
+    return source
+
+
+def _checkpoint_cost(a: int, p: int, e: int) -> float:
+    """Estimated loop steps for one block with A value a read from the
+    checkpoints of (p, e), plus their set-up when not built; inf at e >= 2
+    with p > 2**14, which has none.
+
+    A level takes three reads, with at most one level a base-p digit of
+    a, and a read about bits / 2 Horner evaluations of e terms.  The
+    weights were fitted on CPython 3.11, where a loop step takes about
+    0.4 us and a factor inside ``math.prod`` a third of one.
+    """
+    if e > 1 and p > _TABLE_BUDGET:
+        return inf
+    width = (p - 1).bit_length()
+    bits = (e - 1) * width
+    setup = p // 3 if e == 1 else 2 * p * e + bits * e * e
+    read = isqrt(p) // 6 + 30 + bits * e // 2
+    reads = 3 * (a.bit_length() // width + 1)
+    return reads * read + (0 if (p, e) in _checkpoint_cache else setup)
+
+
+def _binom_levels(
+    a: int, b: int, p: int, e: int, t: array | _Checkpoints
+) -> tuple[int, int]:
     # a!/p**v(a!) = prod_j (floor(a/p**j)!)_p, and (x!)_p = s**q * T[r]
     # with q, r = divmod(x, p**e), where s = -1 is the product of the
-    # units mod p**e (+1 for p = 2, e >= 3).  Writing a_j for
+    # units mod p**e (+1 for p = 2, e >= 3) and T[r] = (r!)_p mod p**e
+    # is read from t, the table or checkpoints.  Writing a_j for
     # floor(a/p**j) and c = a - b, the borrow d_j = a_j - b_j - c_j is 0
     # or 1; v = sum_{j>=1} d_j (Kummer), and the exponent of s, the sum
     # over j of q(a_j) - q(b_j) - q(c_j) with q(x) = floor(x/p**e), is
     # sum_{j>=e} d_j.  Once one of b_j, c_j is 0 and the other equals
     # a_j, every higher level cancels.
     pe = p**e
-    t = _unit_factorials(p, e)
     c = a - b
     v = wraps = level = 0
     num = den = 1

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, golden text, exit codes."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,15 @@ def run_module(*argv, timeout):
         [sys.executable, "-m", "ppbinom", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def half_digit_pair(p, digits):
+    """Decimal A, B with A's base-p digits in p's top quarter and each of
+    B's near half of A's: every digit block is near its largest."""
+    rng = random.Random(p)
+    a = [rng.randrange(3 * p // 4, p) for _ in range(digits)]
+    b = [rng.randrange(x * 9 // 20, x * 11 // 20 + 1) for x in a]
+    return [str(sum(d * p**i for i, d in enumerate(ds))) for ds in (a, b)]
 
 
 class TestModuleEntry:
@@ -248,6 +258,27 @@ class TestBoundaries:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    def test_large_prime_blocks(self):
+        # 40 blocks of about p/4 loop steps each took 6.4-6.6 s a command
+        # before checkpoints
+        pair = ("--prime", "999983", "--radix", "10", "-N", "1", *half_digit_pair(999983, 40))
+        proc = run_module("compare", *pair, timeout=2)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "AGREE"
+        lucas = run_module("eval", "--method", "lucas", *pair, timeout=2)
+        theorem = run_module("eval", *pair, timeout=2)
+        assert lucas.returncode == theorem.returncode == 0
+        assert lucas.stdout == theorem.stdout
+
+    def test_mid_prime_blocks_at_width_two(self):
+        # blocks below 1009**2 took 7.1 s by the loop
+        proc = run_module(
+            "compare", "--prime", "1009", "--radix", "10", "-N", "2",
+            *half_digit_pair(1009, 40), timeout=2,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "AGREE"
 
     def test_modulus_too_long_to_print(self):
         # N = 10000 used to compute the residue and then fail to print

@@ -139,7 +139,8 @@ class TestExactBinomMod:
             # Keep min(b, a - b) small so the loop stays cheap.
             k = rng.randrange(min(a, 3000) + 1)
             b = rng.choice((k, a - k))
-            assert engine._binom_table(a, b, p, e) == engine._binom_loop(a, b, p, e)
+            t = engine._unit_factorials(p, e)
+            assert engine._binom_levels(a, b, p, e, t) == engine._binom_loop(a, b, p, e)
 
     def test_over_budget_builds_no_table(self):
         for a, b, p, e in ((1009**2 + 12345, 17, 1009, 2), (1000020, 1000010, 1000003, 1)):
@@ -159,11 +160,79 @@ class TestExactBinomMod:
         assert engine._unit_factorials.cache_info().misses == 10
 
     def test_over_loop_budget_raises(self):
+        # checkpoints for p = 10**9 + 7 would take about 10**9 products
         with pytest.raises(TooLarge, match="loop steps"):
             exact_binom_mod(999999999, 500000000, 1000000007, 1)
+        # p > 2**14 at e >= 2 has no checkpoints, only the loop
         k = engine._LOOP_BUDGET + 1
-        with pytest.raises(TooLarge):
-            exact_binom_mod(3 * k, k, 1000003, 1)
+        with pytest.raises(TooLarge, match="loop steps"):
+            exact_binom_mod(3 * k, k, 16411, 2)
+        # once refused; checkpoints at e = 1 now answer it
+        assert exact_binom_mod(3 * k, k, 1000003, 1) == (0, lucas_evaluate(3 * k, k, 1000003))
+
+    @pytest.mark.parametrize(
+        "p, e",
+        [(16411, 1), (65537, 1)]
+        + [(2, e) for e in range(15, 21)]
+        + [(3, e) for e in range(9, 13)]
+        + [(127, 2), (16381, 2)],
+    )
+    def test_checkpoints_against_comb_sweep(self, p, e):
+        # Every b <= a < 300 reads T[x] at x < 300 only, so the sweep walks
+        # a list of those reads, each taken once from the checkpoints.
+        pe = p**e
+        source = engine._checkpoints(p, e)
+        t = [source[x] for x in range(300)]
+        for a in range(300):
+            for b in range(a + 1):
+                assert engine._binom_levels(a, b, p, e, t) == split_p(math.comb(a, b), p, pe)
+
+    def test_checkpoint_reads_against_prefix_products(self):
+        rng = random.Random(11)
+        for p, e in ((16411, 1), (2, 15), (2, 19), (3, 11), (5, 7), (127, 2), (1009, 2)):
+            pe = p**e
+            want, acc = [1], 1
+            for k in range(1, pe):
+                if k % p:
+                    acc = acc * k % pe
+                want.append(acc)
+            source = engine._checkpoints(p, e)
+            for x in [0, 1, p - 1, pe - p, pe - 1] + [rng.randrange(pe) for _ in range(300)]:
+                assert source[x] == want[x], (p, e, x)
+
+    def test_checkpoints_against_loop(self):
+        # 3000 seeded blocks, grouped by (p, e) so each source is built once
+        rng = random.Random(20261018)
+        cases = [(16411, 1), (65537, 1), (999983, 1), (2, 15), (2, 24), (3, 10), (3, 16)]
+        cases += [(7, 5), (127, 2), (127, 3), (1009, 2), (16381, 2)]
+        for i in range(3000):
+            p, e = cases[i * len(cases) // 3000]
+            a = rng.randrange(p ** (e + rng.randrange(4)))
+            # Keep min(b, a - b) small so the loop stays cheap.
+            k = rng.randrange(min(a, 3000) + 1)
+            b = rng.choice((k, a - k))
+            got = engine._binom_levels(a, b, p, e, engine._checkpoints(p, e))
+            assert got == engine._binom_loop(a, b, p, e), (a, b, p, e)
+
+    def test_path_choice_and_bounded_caches(self):
+        engine._checkpoint_cache.clear()
+        before = engine._unit_factorials.cache_info()
+        # tiny blocks at huge e, and any block for p > 2**14 at e >= 2, take the loop
+        for a, b, p, e in ((3**50 + 7, 3, 3, 50), (40000, 20000, 16411, 2)):
+            assert exact_binom_mod(a, b, p, e) == split_p(math.comb(a, b), p, p**e)
+        assert not engine._checkpoint_cache
+        # large blocks build checkpoints, and only the last few are kept
+        for a, b, p, e in (
+            (1009**2 - 5, 500000, 1009, 2), (16411**2, 100000, 16411, 1),
+            (2**21 + 77, 2**20, 2, 20), (3**14, 3**13, 3, 10),
+        ):
+            assert exact_binom_mod(a, b, p, e) == engine._binom_levels(
+                a, b, p, e, engine._Checkpoints(p, e)
+            )
+            assert (p, e) in engine._checkpoint_cache
+        assert 1 <= engine._CHECKPOINTS_KEPT <= 4
+        assert len(engine._checkpoint_cache) == engine._CHECKPOINTS_KEPT
+        assert engine._unit_factorials.cache_info() == before
 
     def test_errors(self):
         with pytest.raises(OrderViolation):
