@@ -11,21 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
-from .errors import (
-    EmptyInput,
-    InvalidDigit,
-    MixedBase,
-    NegativeResult,
-    NotPrime,
-    describe_int,
-)
+from .errors import EmptyInput, InvalidDigit, NotPrime, describe_int
 
 __all__ = [
     "DigitString",
     "parse_natural",
     "to_base_p",
-    "subtract_with_borrows",
     "is_prime",
     "ensure_prime",
 ]
@@ -178,33 +171,11 @@ def to_base_p(n: int, p: int) -> DigitString:
     return DigitString(_digits_of(n, p), p)
 
 
-def subtract_with_borrows(
-    a: DigitString, b: DigitString, p: int
-) -> tuple[DigitString, int]:
-    """Schoolbook base-p subtraction a - b with a count of borrow positions.
-
-    The borrow count equals the p-adic valuation of C(value(a), value(b)).
-    Raises NegativeResult when a < b.
-    """
-    if a.base != p or b.base != p:
-        raise MixedBase(f"operands must both be base {p}")
-    da, db = a.digits, b.digits
-    la, lb = len(da), len(db)
-    out = []
-    borrow = 0
-    borrows = 0
-    for i in range(max(la, lb)):
-        x = (da[i] if i < la else 0) - borrow - (db[i] if i < lb else 0)
-        if x < 0:
-            x += p
-            borrow = 1
-            borrows += 1
-        else:
-            borrow = 0
-        out.append(x)
-    if borrow:
-        raise NegativeResult("subtrahend exceeds minuend")
-    n = len(out)
-    while n > 1 and out[n - 1] == 0:
-        n -= 1
-    return DigitString(tuple(out[:n]), p), borrows
+def _borrows(da: tuple[int, ...], db: tuple[int, ...]) -> int:
+    """Borrow count of the schoolbook subtraction of little-endian digits
+    db from da: v_p C(a, b) by Kummer's theorem when a >= b."""
+    borrow = borrows = 0
+    for x, y in zip_longest(da, db, fillvalue=0):
+        borrow = x - y - borrow < 0
+        borrows += borrow
+    return borrows

@@ -22,9 +22,9 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isqrt, prod
+from math import isqrt, prod
 
-from .digits import DigitString, _digits_of, ensure_prime, subtract_with_borrows
+from .digits import DigitString, _borrows, _digits_of, ensure_prime
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
 from .pseudo import PseudoExpansion, block, decompose, pseudo_valuation
 
@@ -83,9 +83,8 @@ _vu = lru_cache(maxsize=1 << 12)(ValuedUnit)
 # p-free factorials mod p**e: 4 bytes an entry, so 64 KiB at the budget
 # and at most 1 MiB across the 16 cached tables (the 10 that the
 # low-valuation benchmark mix cycles through take about 120 KB).  Above
-# it the same level walk reads checkpoints, at e = 1 for any p and at
-# e >= 2 for p within this budget; larger p at e >= 2 has only the
-# multiplicative loop.
+# it the same level walk reads checkpoints, or the multiplicative loop
+# runs where it is cheaper.
 _TABLE_BUDGET = 1 << 14
 
 # The one cost budget, in loop steps (a few seconds): above the table
@@ -102,12 +101,11 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     p**e at the O(log_p a) levels floor(a/p**j).  When p**e <= 2**14
     they come from a prefix table built once per (p, e).  Above that
     they come from checkpoints, built once per (p, e) with the last two
-    kept: x! mod p every ceil(sqrt p) at e = 1, and at e >= 2 with
-    p <= 2**14 doubling polynomials.  The multiplicative formula
-    prod_{i=1..b} (a-b+i)/i, at min(b, a-b) steps, runs where there are
-    no checkpoints (p > 2**14 at e >= 2) or where it is estimated cheaper
-    than their set-up plus reads.  TooLarge is raised when the cheaper of
-    the two exceeds 2**22 steps.
+    kept: x! mod p every ceil(sqrt p) at e = 1, and doubling polynomials
+    at e >= 2.  The multiplicative formula prod_{i=1..b} (a-b+i)/i, at
+    min(b, a-b) steps, runs where it is estimated cheaper than their
+    set-up plus reads, as for tiny blocks at large e.  TooLarge is raised
+    when the cheaper of the two exceeds 2**22 steps.
     """
     _check_pair(a, b)
     ensure_prime(p)
@@ -255,18 +253,15 @@ def _checkpoints(p: int, e: int) -> _Checkpoints:
     return source
 
 
-def _checkpoint_cost(a: int, p: int, e: int) -> float:
+def _checkpoint_cost(a: int, p: int, e: int) -> int:
     """Estimated loop steps for one block with A value a read from the
-    checkpoints of (p, e), plus their set-up when not built; inf at e >= 2
-    with p > 2**14, which has none.
+    checkpoints of (p, e), plus their set-up when not built.
 
     A level takes three reads, with at most one level a base-p digit of
     a, and a read about bits / 2 Horner evaluations of e terms.  The
     weights were fitted on CPython 3.11, where a loop step takes about
     0.4 us and a factor inside ``math.prod`` a third of one.
     """
-    if e > 1 and p > _TABLE_BUDGET:
-        return inf
     width = (p - 1).bit_length()
     bits = (e - 1) * width
     setup = p // 3 if e == 1 else 2 * p * e + bits * e * e
@@ -470,10 +465,7 @@ def theorem_evaluate(
     factors = [] if trace else None
     total, unit = _walk(expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
     assert total == m, "factor valuations must sum to the borrow count"
-    if __debug__:
-        sa = DigitString(expansion.a_digits, p)
-        sb = DigitString(expansion.b_digits, p)
-        assert subtract_with_borrows(sa, sb, p)[1] == m, "valuation disagrees with borrows"
+    assert _borrows(expansion.a_digits, expansion.b_digits) == m, "valuation disagrees with borrows"
     residue = p**m * unit % p**N
     tr = EvalTrace("theorem", p, N, n, m, unit, residue, tuple(factors)) if trace else None
     return residue, tr

@@ -17,16 +17,8 @@ class InvalidDigit(ValueError):
     """A character in a number string is not a valid digit for the radix."""
 
 
-class MixedBase(ValueError):
-    """Digit strings with different bases were combined."""
-
-
 class NotPrime(ValueError):
     """The base fails the primality check, or is too large to certify."""
-
-
-class NegativeResult(ArithmeticError):
-    """Subtraction was asked to produce a negative value."""
 
 
 class OrderViolation(ValueError):

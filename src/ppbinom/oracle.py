@@ -9,10 +9,9 @@ the only dependency is plain digit arithmetic.
 from __future__ import annotations
 
 import math
-from itertools import zip_longest
 from typing import Iterator
 
-from .digits import _digits_of, ensure_prime
+from .digits import _borrows, _digits_of, ensure_prime
 from .errors import TooLarge, _check_pair, describe_int
 
 __all__ = [
@@ -112,8 +111,4 @@ def kummer_valuation(a: int, b: int, p: int) -> int:
     """v_p C(a, b) as the borrow count of the schoolbook base-p subtraction a - b."""
     _check_pair(a, b)
     ensure_prime(p)
-    borrow = borrows = 0
-    for x, y in zip_longest(_digits_of(a, p), _digits_of(b, p), fillvalue=0):
-        borrow = x - y - borrow < 0
-        borrows += borrow
-    return borrows
+    return _borrows(_digits_of(a, p), _digits_of(b, p))

@@ -280,6 +280,16 @@ class TestBoundaries:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "AGREE"
 
+    def test_large_prime_at_width_two(self):
+        # exited 2 over the loop budget while p > 2**14 at e >= 2 had no checkpoints
+        pair = ("--prime", "16411", "--radix", "10", "-N", "2", "269320000", "134660000")
+        proc = run_module("eval", *pair, timeout=2)
+        assert proc.returncode == 0
+        assert proc.stdout == "242861307 (mod 269320921)\n"
+        proc = run_module("compare", *pair, timeout=2)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "AGREE"
+
     def test_modulus_too_long_to_print(self):
         # N = 10000 used to compute the residue and then fail to print
         # p**N; N = 2*10^7 ran for over a minute

@@ -1,6 +1,4 @@
-"""Digit arithmetic: parsing, radix conversion, borrow-counting subtraction."""
-
-import math
+"""Digit arithmetic: parsing, radix conversion, primality, digit strings."""
 
 import pytest
 
@@ -9,16 +7,9 @@ from ppbinom.digits import (
     ensure_prime,
     is_prime,
     parse_natural,
-    subtract_with_borrows,
     to_base_p,
 )
-from ppbinom.errors import (
-    EmptyInput,
-    InvalidDigit,
-    MixedBase,
-    NegativeResult,
-    NotPrime,
-)
+from ppbinom.errors import EmptyInput, InvalidDigit, NotPrime
 from ppbinom.pseudo import block, decompose
 
 
@@ -127,49 +118,6 @@ class TestPrimality:
         assert ensure_prime(13) == 13
         with pytest.raises(NotPrime):
             ensure_prime(15)
-
-
-class TestSubtractWithBorrows:
-    def test_binary_example(self):
-        a = DigitString((0, 1, 0, 1), 2)
-        b = DigitString((1, 0, 1, 0), 2)  # 0101, leading zero kept
-        diff, borrows = subtract_with_borrows(a, b, 2)
-        assert str(diff) == "101"
-        assert diff.value == 5
-        assert borrows == 2  # matches v_2(C(10, 5)) = v_2(252)
-
-    def test_self_subtraction(self):
-        x = to_base_p(3861, 7)
-        diff, borrows = subtract_with_borrows(x, x, 7)
-        assert diff.value == 0
-        assert borrows == 0
-
-    def test_worked_base3_pair(self):
-        a = to_base_p(38360, 3)  # 1221121202
-        b = to_base_p(22741, 3)  # 1011012021
-        diff, borrows = subtract_with_borrows(a, b, 3)
-        assert diff.value == 38360 - 22741
-        assert borrows == 2
-
-    def test_negative(self):
-        with pytest.raises(NegativeResult):
-            subtract_with_borrows(to_base_p(5, 3), to_base_p(6, 3), 3)
-
-    def test_mixed_base(self):
-        with pytest.raises(MixedBase):
-            subtract_with_borrows(to_base_p(5, 3), to_base_p(1, 5), 3)
-
-    def test_borrow_count_is_valuation_small_sweep(self):
-        for p in (2, 3, 5):
-            for a in range(80):
-                for b in range(a + 1):
-                    _, borrows = subtract_with_borrows(to_base_p(a, p), to_base_p(b, p), p)
-                    c = math.comb(a, b)
-                    v = 0
-                    while c % p == 0:
-                        c //= p
-                        v += 1
-                    assert borrows == v
 
 
 class TestConcatValue:

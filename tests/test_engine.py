@@ -163,10 +163,10 @@ class TestExactBinomMod:
         # checkpoints for p = 10**9 + 7 would take about 10**9 products
         with pytest.raises(TooLarge, match="loop steps"):
             exact_binom_mod(999999999, 500000000, 1000000007, 1)
-        # p > 2**14 at e >= 2 has no checkpoints, only the loop
+        # checkpoints for (2097169, 2) would take about 8.4 * 10**6 steps to set up
         k = engine._LOOP_BUDGET + 1
         with pytest.raises(TooLarge, match="loop steps"):
-            exact_binom_mod(3 * k, k, 16411, 2)
+            exact_binom_mod(3 * k, k, 2097169, 2)
         # once refused; checkpoints at e = 1 now answer it
         assert exact_binom_mod(3 * k, k, 1000003, 1) == (0, lucas_evaluate(3 * k, k, 1000003))
 
@@ -204,7 +204,7 @@ class TestExactBinomMod:
         # 3000 seeded blocks, grouped by (p, e) so each source is built once
         rng = random.Random(20261018)
         cases = [(16411, 1), (65537, 1), (999983, 1), (2, 15), (2, 24), (3, 10), (3, 16)]
-        cases += [(7, 5), (127, 2), (127, 3), (1009, 2), (16381, 2)]
+        cases += [(7, 5), (127, 2), (127, 3), (1009, 2), (16381, 2), (16411, 2), (65537, 2)]
         for i in range(3000):
             p, e = cases[i * len(cases) // 3000]
             a = rng.randrange(p ** (e + rng.randrange(4)))
@@ -217,7 +217,7 @@ class TestExactBinomMod:
     def test_path_choice_and_bounded_caches(self):
         engine._checkpoint_cache.clear()
         before = engine._unit_factorials.cache_info()
-        # tiny blocks at huge e, and any block for p > 2**14 at e >= 2, take the loop
+        # tiny blocks at huge e, and blocks below the set-up cost, take the loop
         for a, b, p, e in ((3**50 + 7, 3, 3, 50), (40000, 20000, 16411, 2)):
             assert exact_binom_mod(a, b, p, e) == split_p(math.comb(a, b), p, p**e)
         assert not engine._checkpoint_cache
@@ -225,6 +225,7 @@ class TestExactBinomMod:
         for a, b, p, e in (
             (1009**2 - 5, 500000, 1009, 2), (16411**2, 100000, 16411, 1),
             (2**21 + 77, 2**20, 2, 20), (3**14, 3**13, 3, 10),
+            (16411**2 - 5, 10**6, 16411, 2),
         ):
             assert exact_binom_mod(a, b, p, e) == engine._binom_levels(
                 a, b, p, e, engine._Checkpoints(p, e)

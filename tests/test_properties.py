@@ -13,7 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppbinom.digits import subtract_with_borrows, to_base_p
+from ppbinom.digits import to_base_p
 from ppbinom.engine import (
     _binom_vu,
     _dw_bracket,
@@ -68,8 +68,7 @@ def count_carries(x, y, p):
 @given(ordered_pairs(), prime_st)
 def test_borrow_carry_duality(pair, p):
     a, b = pair
-    _, borrows = subtract_with_borrows(to_base_p(a, p), to_base_p(b, p), p)
-    assert borrows == count_carries(a - b, b, p)
+    assert kummer_valuation(a, b, p) == count_carries(a - b, b, p)
 
 
 @given(ordered_pairs(), prime_st)
