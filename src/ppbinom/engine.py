@@ -5,7 +5,8 @@
   the binomial of the top n pseudo-digit blocks times, for each lower
   position, the quotient of an n-block binomial by the (n-1)-block
   binomial above it.  Every quotient is p-integral and its valuation is
-  exactly the valuation contributed by its lowest pseudo-digit.
+  exactly the valuation contributed by its lowest pseudo-digit.  Untraced,
+  a quotient is read from unit factorials at that group's own levels.
 * ``davis_webb_evaluate``: the digit-window bracket recursion, which
   keeps the window a fixed width N and pays a factor p each time the top
   window comparison fails.
@@ -349,6 +350,7 @@ def _walk(
     width: int,
     value: Callable[[int, int, int], tuple[int, int]],
     factors: list[Factor] | None = None,
+    quotient: bool = False,
 ) -> tuple[int, int]:
     """(valuation, unit mod p**width) of the block-quotient product over
     e's groups.
@@ -362,14 +364,23 @@ def _walk(
     folds group i's digits in below it.  Units are accumulated apart and divided once;
     given a list, the walk appends one Factor per position, with digit
     windows from ``block``.
+
+    With ``quotient`` (untraced binomials at precision width), a lower
+    position reads its quotient from group i's own g levels once a unit
+    factorial source is at hand, checked after each position that took
+    block values.  With X the numerator block and C = A - B, Granville's
+    formula leaves p**v prod_{j<g} F(Xa_j) / (F(Xb_j) F(Xc_j)), where x_j
+    is floor(x/p**j), F(x) = s**floor(x/p**width) T[x mod p**width] as in
+    ``_binom_levels``, and v = sum_{j=1..g} (Xa_j - Xb_j - Xc_j).
     """
     p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
     pe = p**width
     top = max(len(bounds) - 1 - width, 0)
     # hi: the digit offset above group i; k: the denominator's digit count.
     hi = bounds[-1]
-    av = bv = k = v = 0
+    av = bv = k = v = wraps = 0
     pk = num = den = 1
+    t = None
     for i in range(top, -1, -1):
         if i < top:
             if bounds[i + width] - hi != k:
@@ -381,8 +392,24 @@ def _walk(
         for j in range(hi - 1, lo - 1, -1):
             av = a[j] + p * av
             bv = b[j] + p * bv
-        nv, nu = value(av, bv, k + hi - lo)
+        g = hi - lo
         hi = lo
+        if t is not None:
+            if g == 1 and av < pe:
+                # one level below p**width: no wrap, and no borrow out of
+                # group i's one digit
+                num = num * t[av] % pe
+                den = den * t[bv] * t[av - bv] % pe
+                continue
+            xa, xb, xc = av, bv, av - bv
+            for _ in range(g):
+                num = num * t[xa % pe] % pe
+                den = den * t[xb % pe] * t[xc % pe] % pe
+                wraps += xa // pe + xb // pe + xc // pe
+                xa, xb, xc = xa // p, xb // p, xc // p
+                v += xa - xb - xc
+            continue
+        nv, nu = value(av, bv, k + g)
         v += nv
         num = num * nu % pe
         has_den = i < top and width > 1
@@ -390,6 +417,10 @@ def _walk(
             dv, du = value(dav, dbv, k)
             v -= dv
             den = den * du % pe
+        if quotient and i:
+            # the unit factorials at hand: the table, or checkpoints once built
+            small = pe <= _TABLE_BUDGET
+            t = _unit_factorials(p, width) if small else _checkpoint_cache.get((p, width))
         if factors is not None:
             na, nb = block(e, i, width)
             nvu = _vu(p, nv, nu, width)
@@ -399,6 +430,8 @@ def _walk(
                 factors.append(Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, width), q))
             else:
                 factors.append(Factor(i, na, nb, None, None, nvu, None, nvu))
+    if wraps & 1 and not (p == 2 and width >= 3):
+        num = pe - num
     return v, num * pow(den, -1, pe) % pe
 
 
@@ -463,7 +496,9 @@ def theorem_evaluate(
         return 0, tr
     n = N - m
     factors = [] if trace else None
-    total, unit = _walk(expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
+    total, unit = _walk(
+        expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors, quotient=not trace
+    )
     assert total == m, "factor valuations must sum to the borrow count"
     assert _borrows(expansion.a_digits, expansion.b_digits) == m, "valuation disagrees with borrows"
     residue = p**m * unit % p**N

@@ -290,6 +290,20 @@ class TestBoundaries:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1] == "AGREE"
 
+    def test_binary_blocks_above_the_table_budget(self):
+        # 2000-digit m = 0 pairs at p = 2 took 2.4-4.4 s a command while
+        # every position took two block binomials from the checkpoints
+        rng = random.Random(2000)
+        a = [1] + [rng.randrange(2) for _ in range(1999)]
+        b = [rng.randrange(x + 1) for x in a]
+        A, B = ("".join(map(str, ds)) for ds in (a, b))
+        for N in (16, 18, 20):
+            proc = run_module("eval", "--prime", "2", "-N", str(N), A, B, timeout=2)
+            assert proc.returncode == 0
+            if N == 16:
+                want = engine.theorem_evaluate(int(A, 2), int(B, 2), 2, N)[0]
+                assert proc.stdout == f"{want} (mod {2**N})\n"
+
     def test_modulus_too_long_to_print(self):
         # N = 10000 used to compute the residue and then fail to print
         # p**N; N = 2*10^7 ran for over a minute

@@ -648,7 +648,20 @@ def test_benchmark_hooks_stay_live(monkeypatch):
     A = from_digits(ad, p)
     B = from_digits([rng.randrange(d + 1) for d in ad], p)  # m = 0
     theorem_evaluate(A, B, p, N, trace=False)
+    # the table is at hand, so only the top factor is a block binomial
+    # and the lower positions read group quotients
     misses = engine._binom_vu.cache_info().misses
-    assert misses > 0 and len(calls) == misses
+    assert misses == 1 == len(calls)
     davis_webb_evaluate(A, B, p, N, trace=False)
     assert engine._dw_bracket.cache_info().misses > 0
+
+
+def test_group_quotients_wait_for_a_source():
+    # Blocks at (999983, 2) with B = 1 take one loop step, far below the
+    # checkpoints' set-up, so none is built and every position takes its
+    # two block values.
+    engine._checkpoint_cache.clear()
+    p, N = 999983, 2
+    A = from_digits([5, 999982, 3, 7], p)  # m = 0 with B = 1
+    assert theorem_evaluate(A, 1, p, N, trace=False) == (A % p**N, None)
+    assert not engine._checkpoint_cache

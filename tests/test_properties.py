@@ -13,6 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppbinom import engine
 from ppbinom.digits import to_base_p
 from ppbinom.engine import (
     _binom_vu,
@@ -301,6 +302,57 @@ def test_rolled_block_values_match_block_windows():
             _assert_values_match_windows(
                 theorem_factors(e, n), lambda x, y: _binom_vu(x.value, y.value, p, n)
             )
+
+
+def _group_quotient(xa, xb, g, p, n, t):
+    # C(X) / C(floor(X / p**g)) from the unit factorials of X's g lowest
+    # levels: (x!)_p = s**floor(x/p**n) T[x mod p**n] mod p**n (Granville)
+    pe = p**n
+    s = 1 if p == 2 and n >= 3 else -1
+    xc = xa - xb
+    v, unit = 0, 1
+    for _ in range(g):
+        for x, power in ((xa, 1), (xb, -1), (xc, -1)):
+            unit = unit * pow(s ** (x // pe) * t[x % pe], power, pe) % pe
+        xa, xb, xc = xa // p, xb // p, xc // p
+        v += xa - xb - xc
+    return v, unit
+
+
+def _assert_quotients_and_residues(a, b, e, n, t):
+    # every traced lower factor is the group quotient read from t, and the
+    # untraced walk, which reads those quotients, gives the traced residue
+    p, N = e.p, pseudo_valuation(e) + n
+    want, tr = theorem_evaluate(a, b, p, N, expansion=e)
+    for f in tr.factors[1:]:
+        k = len(f.den_a) if f.den_a is not None else 0
+        got = _group_quotient(f.num_a.value, f.num_b.value, len(f.num_a) - k, p, n, t)
+        assert got == (f.value.valuation, f.value.unit), (a, b, p, n, f.index)
+    assert theorem_evaluate(a, b, p, N, expansion=e, trace=False) == (want, None)
+    assert want == math.comb(a, b) % p**N
+
+
+def test_traced_factors_are_group_quotients():
+    # exhaustive over A < 250 and every width whose table fits the budget
+    # (widths at or above the group count have no lower factor)
+    for p in (2, 3, 5, 7):
+        for a in range(250):
+            for b in range(a + 1):
+                e = decompose(a, b, p)
+                for n in range(1, e.num_pairs):
+                    if p**n > engine._TABLE_BUDGET:
+                        break
+                    _assert_quotients_and_residues(a, b, e, n, engine._unit_factorials(p, n))
+    # checkpoint sources: blocks above the table budget, B near 0 or A
+    # for math.comb
+    rng = random.Random(1997)
+    for p, n in ((2, 15), (16411, 2)):
+        for _ in range(60):
+            a = rng.randrange(p ** (n + rng.randrange(1, 4)))
+            k = rng.randrange(min(a, 300) + 1)
+            b = rng.choice((k, a - k))
+            t = engine._checkpoints(p, n)  # at hand for the untraced walk
+            _assert_quotients_and_residues(a, b, decompose(a, b, p), n, t)
 
 
 def test_absorption_identities_exhaustive():
