@@ -24,8 +24,13 @@ __all__ = [
 ]
 
 _ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
-_DIGIT_VALUE = {c: i for i, c in enumerate(_ALPHABET)}
-_DIGIT_VALUE.update({c.upper(): i for i, c in enumerate(_ALPHABET) if c.isalpha()})
+# The characters of each radix's digits, both cases: what parse_natural
+# accepts, and a test int() cannot stand in for (it also takes "_",
+# whitespace, a sign, radix prefixes and non-ASCII digits).
+_RADIX_CHARS = {r: frozenset(_ALPHABET[:r] + _ALPHABET[10:r].upper()) for r in range(2, 37)}
+# Characters per int() call: under the 4300-digit str-to-int limit of
+# CPython 3.11 (sys.set_int_max_str_digits) at every radix.
+_PARSE_CHUNK = 2000
 
 # Deterministic Miller-Rabin witness set, valid for every n < 2**64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -151,18 +156,29 @@ def parse_natural(text: str, radix: int) -> int:
     """Parse a most-significant-first number string into a natural.
 
     Accepts digits 0-9 and letters a-z (case-insensitive) up to the radix.
+    The text is converted in chunks of ``_PARSE_CHUNK`` characters, joined
+    pairwise as ``hi * radix**k + lo`` with k doubling each round, so the
+    cost is a few big-int products rather than one multiply per character.
     """
     if not 2 <= radix <= 36:
         raise ValueError(f"radix must be in 2..36, got {radix}")
     if not text:
         raise EmptyInput("empty number string")
-    value = 0
-    for ch in text:
-        d = _DIGIT_VALUE.get(ch)
-        if d is None or d >= radix:
-            raise InvalidDigit(f"{ch!r} is not a base-{radix} digit")
-        value = value * radix + d
-    return value
+    allowed = _RADIX_CHARS[radix]
+    if not allowed.issuperset(text):
+        ch = next(ch for ch in text if ch not in allowed)
+        raise InvalidDigit(f"{ch!r} is not a base-{radix} digit")
+    head = (len(text) - 1) % _PARSE_CHUNK + 1
+    parts = [int(text[i - _PARSE_CHUNK : i], radix) for i in range(len(text), head, -_PARSE_CHUNK)]
+    parts.append(int(text[:head], radix))
+    power = radix**_PARSE_CHUNK
+    while len(parts) > 1:
+        # every part but the top one spans the same number of chunks
+        unpaired = parts[len(parts) & ~1 :]
+        parts = [lo + hi * power for lo, hi in zip(parts[::2], parts[1::2])] + unpaired
+        if len(parts) > 1:
+            power *= power
+    return parts[0]
 
 
 def to_base_p(n: int, p: int) -> DigitString:

@@ -509,20 +509,19 @@ def theorem_evaluate(
 def lucas_evaluate(A: int, B: int, p: int) -> int:
     """C(A, B) mod p as the digitwise product of single-digit binomials.
 
-    Zero as soon as any digit of B exceeds the matching digit of A.
+    Zero as soon as any digit of B exceeds the matching digit of A; the
+    low digits are checked first, before converting the rest.  A's digits
+    above B's top digit contribute C(d, 0) = 1 and are not read.
     """
     _check_pair(A, B)
     ensure_prime(p)
+    if _low_borrows_reach(A, B, p, 1):
+        return 0
     result = 1
-    a, b = A, B
-    while b:
-        da = a % p
-        db = b % p
+    for da, db in zip(_digits_of(A, p), _digits_of(B, p)):
         if da < db:
             return 0
         result = result * _binom_vu(da, db, p, 1)[1] % p
-        a //= p
-        b //= p
     return result
 
 

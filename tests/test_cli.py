@@ -19,14 +19,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout):
-    """``python -m ppbinom ARGV`` in a fresh interpreter, source tree first."""
+def run_python(*args, timeout):
+    """``python ARGS`` in a fresh interpreter, source tree first."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "ppbinom", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def run_module(*argv, timeout):
+    """``python -m ppbinom ARGV`` in a fresh interpreter, source tree first."""
+    return run_python("-m", "ppbinom", *argv, timeout=timeout)
 
 
 def half_digit_pair(p, digits):
@@ -303,6 +307,35 @@ class TestBoundaries:
             if N == 16:
                 want = engine.theorem_evaluate(int(A, 2), int(B, 2), 2, N)[0]
                 assert proc.stdout == f"{want} (mod {2**N})\n"
+
+    def test_lucas_on_long_pairs(self):
+        # Lucas divided all of A and B by p for each digit: 8.4 s in-process
+        # on a 10^5-digit base-3 pair with m = 0
+        rng = random.Random(10**5)
+        a = [rng.randrange(1, 3)] + rng.choices(range(3), k=10**5 - 1)
+        b = [rng.randrange(x + 1) for x in a]
+        pair = ("--prime", "3", *("".join(map(str, ds)) for ds in (a, b)))
+        lucas = run_module("eval", "--method", "lucas", *pair, timeout=2)
+        theorem = run_module("eval", *pair, timeout=2)
+        assert lucas.returncode == theorem.returncode == 0
+        assert lucas.stdout == theorem.stdout
+
+    def test_million_digit_pair(self):
+        # Linux caps one exec argument at 131071 bytes, so the 10^6-digit
+        # text reaches cli.main in-process, under the default int/str limit.
+        # Parsing it one character at a time would take minutes.
+        code = """if True:
+            import random, sys
+            from ppbinom import cli
+            rng = random.Random(6)
+            A = "2" + "".join(rng.choices("012", k=10**6 - 7)) + "000000"
+            B = "1" + "".join(rng.choices("012", k=10**6 - 7)) + "111111"
+            sys.exit(cli.main(["eval", "--prime", "3", "-N", "6", A, B]))
+        """
+        proc = run_python("-c", code, timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout == "0 (mod 729)\n"
+        assert "Traceback" not in proc.stderr
 
     def test_modulus_too_long_to_print(self):
         # N = 10000 used to compute the residue and then fail to print

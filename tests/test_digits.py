@@ -1,5 +1,7 @@
 """Digit arithmetic: parsing, radix conversion, primality, digit strings."""
 
+import random
+
 import pytest
 
 from ppbinom.digits import (
@@ -11,6 +13,8 @@ from ppbinom.digits import (
 )
 from ppbinom.errors import EmptyInput, InvalidDigit, NotPrime
 from ppbinom.pseudo import block, decompose
+
+ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 class TestParseNatural:
@@ -40,6 +44,49 @@ class TestParseNatural:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             parse_natural("", 7)
+
+    @pytest.mark.parametrize(
+        "text, radix, bad",
+        [
+            ("1_000", 10, "_"),
+            (" 12", 10, " "),
+            ("12\n", 10, "\n"),
+            ("+5", 10, "+"),
+            ("-5", 10, "-"),
+            ("0x1f", 16, "x"),
+            ("0b1", 2, "b"),
+            ("0o7", 8, "o"),
+            ("\u0661\u0662", 10, "\u0661"),  # Arabic-Indic 12
+            ("\uff11\uff12", 10, "\uff11"),  # full-width 12
+            ("1x2_", 10, "x"),
+            ("7" * 2500 + "_" + "7" * 10, 10, "_"),
+            ("7" * 4001 + " 8", 10, " "),
+        ],
+    )
+    def test_int_syntax_stays_refused(self, text, radix, bad):
+        # int() takes most of these, or the chunk that holds the bad
+        # character; the parser names the first character it refuses
+        with pytest.raises(InvalidDigit) as exc:
+            parse_natural(text, radix)
+        assert str(exc.value) == f"{bad!r} is not a base-{radix} digit"
+
+    @pytest.mark.parametrize("length", [1999, 2000, 2001, 4000, 4301, 20011])
+    def test_exact_across_chunk_boundaries(self, length):
+        # the reference folds 8-digit words, never through int(str), so a
+        # chunk over the default str-to-int limit would raise here
+        rng = random.Random(length)
+        for radix in range(2, 37):
+            digits = [rng.randrange(1, radix)] + rng.choices(range(radix), k=length - 1)
+            text = "".join(
+                ALPHABET[d].upper() if i % 2 else ALPHABET[d] for i, d in enumerate(digits)
+            )
+            want = 0
+            for i in range(0, length, 8):
+                word = 0
+                for d in digits[i : i + 8]:
+                    word = word * radix + d
+                want = want * radix ** len(digits[i : i + 8]) + word
+            assert parse_natural(text, radix) == want
 
     def test_radix_range(self):
         with pytest.raises(ValueError):
