@@ -102,11 +102,13 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     p**e at the O(log_p a) levels floor(a/p**j).  When p**e <= 2**14
     they come from a prefix table built once per (p, e).  Above that
     they come from checkpoints, built once per (p, e) with the last two
-    kept: x! mod p every ceil(sqrt p) at e = 1, and doubling polynomials
-    at e >= 2.  The multiplicative formula prod_{i=1..b} (a-b+i)/i, at
-    min(b, a-b) steps, runs where it is estimated cheaper than their
-    set-up plus reads, as for tiny blocks at large e.  TooLarge is raised
-    when the cheaper of the two exceeds 2**22 steps.
+    kept: at e = 1, x! mod p at the multiples of the power of two v
+    above sqrt(p - 1), from shifted evaluation in about 0.8 v**1.5 loop
+    steps; at e >= 2, doubling polynomials.  The multiplicative formula
+    prod_{i=1..b} (a-b+i)/i, at min(b, a-b) steps, runs where it is
+    estimated cheaper than their set-up plus reads, as for tiny blocks at
+    large e.  TooLarge is raised when the cheaper of the two exceeds 2**22
+    steps; at e = 1 the checkpoints fit for p <= 2**28.
     """
     _check_pair(a, b)
     ensure_prime(p)
@@ -170,8 +172,6 @@ def _prod_mod(lo: int, hi: int, m: int, acc: int) -> int:
 
 def _times_run(poly: list[int], lo: int, hi: int, m: int) -> list[int]:
     """poly(z) times z + j for j = lo .. hi-1, mod m, cut below degree len(poly)."""
-    if len(poly) == 1:
-        return [_prod_mod(lo, hi, m, poly[0])]
     for j in range(lo, hi):
         poly = [j * poly[0] % m] + [(j * poly[t] + poly[t - 1]) % m for t in range(1, len(poly))]
     return poly
@@ -184,42 +184,114 @@ def _horner(coeffs: list[int], z: int, m: int) -> int:
     return v
 
 
+def _shift(vals: list[int], a: int, n: int, p: int, inv_fact: list[int]) -> list[int]:
+    """f(a), f(a+1), .. f(a+n-1) mod p for the f of degree d = len(vals) - 1
+    with f(i) = vals[i] at i = 0..d, given 1/i! mod p for i <= d.
+
+    Lagrange: f(a+k) = prod_{j=0..d} (a+k-j) * sum_i c_i / (a+k-i), with
+    c_i = f(i) / (i! (d-i)! (-1)**(d-i)).  The sum is coefficient k + d of
+    the product of sum_i c_i X**i and sum_t X**t / (a-d+t), t < n + d,
+    taken as one big-int product of byte-aligned slots (Kronecker), each
+    wide enough for d + 1 terms below p**2.  Needs a-d+t != 0 mod p.
+    """
+    d = len(vals) - 1
+    c = [(-1) ** (d - i) * f * inv_fact[i] * inv_fact[d - i] % p for i, f in enumerate(vals)]
+    xs = [(a - d + t) % p for t in range(n + d)]
+    pre = [1]  # pre[t]: the product of xs[:t]
+    for x in xs:
+        pre.append(pre[-1] * x % p)
+    inv_pre = [pow(pre[-1], -1, p)] * len(pre)
+    for t in range(len(xs) - 1, -1, -1):
+        inv_pre[t] = inv_pre[t + 1] * xs[t] % p
+    w = [pre[t] * inv_pre[t + 1] % p for t in range(len(xs))]
+    width = (2 * p.bit_length() + (d + 1).bit_length() + 7) // 8
+    cx, wx = (
+        int.from_bytes(b"".join(y.to_bytes(width, "little") for y in ys), "little") for ys in (c, w)
+    )
+    buf = (cx * wx).to_bytes((n + 2 * d) * width, "little")
+    return [
+        int.from_bytes(buf[(k + d) * width : (k + d + 1) * width], "little")
+        * pre[k + d + 1] * inv_pre[k] % p
+        for k in range(n)
+    ]
+
+
+def _mark_step(p: int, e: int) -> int:
+    """The spacing of the checkpoints of (p, e): at e = 1 the power of two
+    above sqrt(p - 1), which shifted evaluation doubles up to, else ceil(sqrt p)."""
+    return 1 << isqrt(p - 1).bit_length() if e == 1 else isqrt(p - 1) + 1
+
+
+def _factorial_marks(p: int, v: int) -> list[int]:
+    """(k v)! mod p for k v < p, where v = _mark_step(p, 1).
+
+    g_d(x) = prod_{i=1..d} (v x + i) has degree d, and (k v)! is the
+    product of g_v(j) over j < k.  From g_d at 0..d, two shifts give g_d at
+    d+1 .. 2d and at d/v + 0..2d, and g_2d(x) = g_d(x) g_d(x + d/v), so
+    log2(v) doublings reach g_v at 0..v (Bostan, Gaudry and Schost 2007).
+    No shift divides by 0 mod p: the first shift's points are 1 .. 2d,
+    at most v < p, and the second's are d/v + s with -d <= s <= 2d, where
+    d/v + s = 0 would make p divide 1 + s v / d, an odd integer of size
+    at most 1 + 2v, which is below every p above the table budget.
+    """
+    inv_fact = [1] * (v // 2 + 1)
+    inv_fact[-1] = pow(_prod_mod(1, v // 2 + 1, p, 1), -1, p)
+    for i in range(v // 2, 1, -1):
+        inv_fact[i - 1] = inv_fact[i] * i % p
+    inv_v = pow(v, -1, p)
+    g, d = [1, v + 1], 1
+    while d < v:
+        lo = g + _shift(g, d + 1, d, p, inv_fact)
+        g = [x * y % p for x, y in zip(lo, _shift(g, d * inv_v % p, 2 * d + 1, p, inv_fact))]
+        d *= 2
+    marks = [1]
+    for j in range((p - 1) // v):
+        marks.append(marks[-1] * g[j] % p)
+    return marks
+
+
 class _Checkpoints:
     """T[x] = (x!)_p mod p**e for x < p**e, read like the prefix table.
 
     Write x = q p + r.  In z = p y, the product of p y + j over j = 1..r
     is a polynomial P_r(z) whose terms from z**e up vanish mod p**e at
     z = p q, so e coefficients mod p**e hold it.  P_r is kept at every
-    multiple of ceil(sqrt p), and a read finishes from the one at or
-    below r with fewer than sqrt(p) products.  The whole runs below q p
-    come from doubling: H_0 = P_{p-1} covers one run of p - 1 units,
-    H_{k+1}(z) = H_k(z) H_k(z + p 2**k) covers 2**(k+1), and the runs
-    are H_k(p o) over the set bits k of q, o being the part of q above
-    bit k.  At e = 1 every P_r is a constant (r! mod p) and q is 0.
-    Set-up takes O(p e + e**3 log p) operations (at e = 1, p
-    multiplications inside ``math.prod``), and a read O(e**2 log p + sqrt p).
+    multiple of the step (``_mark_step``), and a read finishes from the
+    one at or below r with fewer than step products.  The whole runs
+    below q p come from doubling: H_0 = P_{p-1} covers one run of p - 1
+    units, H_{k+1}(z) = H_k(z) H_k(z + p 2**k) covers 2**(k+1), and the
+    runs are H_k(p o) over the set bits k of q, o being the part of q
+    above bit k.  At e >= 2 the step is ceil(sqrt p), set-up takes
+    O(p e + e**3 log p) operations and a read O(e**2 log p + sqrt p).
+    At e = 1 every P_r is a constant (r! mod p), q is 0, and the step v
+    is the power of two above sqrt(p - 1), under 2 sqrt(p): the marks
+    come from ``_factorial_marks`` in O(sqrt(p) log p) operations on
+    residues, carried by big-int products, and a read takes fewer than v.
     """
 
     __slots__ = ("p", "e", "m", "step", "marks", "h")
 
     def __init__(self, p: int, e: int) -> None:
         m = p**e
-        step = isqrt(p - 1) + 1
-        poly = [1] + [0] * (e - 1)
-        marks = list(poly)  # flat: the e coefficients of each kept P_r in turn
-        for top in range(step, p, step):
-            poly = _times_run(poly, top - step + 1, top + 1, m)
-            marks += poly
-        h = [_times_run(poly, (p - 1) // step * step + 1, p, m)]
-        for k in range((p ** (e - 1) - 1).bit_length() - 1):
-            f = h[-1]
-            g = list(f)
-            c = p << k
-            # Taylor shift g(z) -> g(z + c) by repeated synthetic division
-            for i in range(e - 1):
-                for t in range(e - 2, i - 1, -1):
-                    g[t] = (g[t] + c * g[t + 1]) % m
-            h.append([sum(f[i] * g[t - i] for i in range(t + 1)) % m for t in range(e)])
+        step = _mark_step(p, e)
+        if e == 1:
+            marks, h = _factorial_marks(p, step), [[p - 1]]  # Wilson; h is unread at e = 1
+        else:
+            poly = [1] + [0] * (e - 1)
+            marks = list(poly)  # flat: the e coefficients of each kept P_r in turn
+            for top in range(step, p, step):
+                poly = _times_run(poly, top - step + 1, top + 1, m)
+                marks += poly
+            h = [_times_run(poly, (p - 1) // step * step + 1, p, m)]
+            for k in range((p ** (e - 1) - 1).bit_length() - 1):
+                f = h[-1]
+                g = list(f)
+                c = p << k
+                # Taylor shift g(z) -> g(z + c) by repeated synthetic division
+                for i in range(e - 1):
+                    for t in range(e - 2, i - 1, -1):
+                        g[t] = (g[t] + c * g[t + 1]) % m
+                h.append([sum(f[i] * g[t - i] for i in range(t + 1)) % m for t in range(e)])
         self.p, self.e, self.m, self.step, self.marks, self.h = p, e, m, step, marks, h
 
     def __getitem__(self, x: int) -> int:
@@ -239,7 +311,8 @@ class _Checkpoints:
 
 # Checkpoint sources, least recently used first.  A block walk reads one
 # (p, e) throughout; two keep both widths of a call warm.  The set-up
-# budget bounds each: at e = 1, p < 3 * 2**22 and about 3600 ints.
+# budget bounds each: at e = 1, v <= 2**14, so p <= 2**28 and at most
+# 2**14 marks.
 _CHECKPOINTS_KEPT = 2
 _checkpoint_cache: dict[tuple[int, int], _Checkpoints] = {}
 
@@ -259,14 +332,18 @@ def _checkpoint_cost(a: int, p: int, e: int) -> int:
     checkpoints of (p, e), plus their set-up when not built.
 
     A level takes three reads, with at most one level a base-p digit of
-    a, and a read about bits / 2 Horner evaluations of e terms.  The
-    weights were fitted on CPython 3.11, where a loop step takes about
-    0.4 us and a factor inside ``math.prod`` a third of one.
+    a, and a read about bits / 2 Horner evaluations of e terms plus half
+    a step of products.  The weights were fitted on CPython 3.11, where
+    a loop step takes about 0.4 us and a factor inside ``math.prod`` a
+    third of one.  The e = 1 set-up, 0.8 v**1.5 + 14 v steps at step v,
+    covers set-ups timed at v = 2**8 .. 2**14 (1.7 ms .. 0.66 s): the
+    per-residue work leads at small v and the big-int products at large.
     """
     width = (p - 1).bit_length()
     bits = (e - 1) * width
-    setup = p // 3 if e == 1 else 2 * p * e + bits * e * e
-    read = isqrt(p) // 6 + 30 + bits * e // 2
+    step = _mark_step(p, e)
+    setup = step * (4 * isqrt(step) // 5 + 14) if e == 1 else 2 * p * e + bits * e * e
+    read = step // 6 + 30 + bits * e // 2
     reads = 3 * (a.bit_length() // width + 1)
     return reads * read + (0 if (p, e) in _checkpoint_cache else setup)
 

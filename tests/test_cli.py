@@ -275,6 +275,24 @@ class TestBoundaries:
         assert lucas.returncode == theorem.returncode == 0
         assert lucas.stdout == theorem.stdout
 
+    def test_large_prime_past_the_old_setup(self):
+        # each exited 2 at about 5 * 10**7 loop steps while the e = 1
+        # checkpoints took p steps to set up.  C(p - 1, k) = (-1)**k mod p.
+        p = 100000007
+        k = (p - 1) // 2
+        proc = run_module(
+            "eval", "--prime", str(p), "--radix", "10", "-N", "1", str(p - 1), str(k), timeout=10
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == f"{p - 1} (mod {p})\n"
+        pair = ("--prime", str(p), "--radix", "10", "-N", "1", str(p * p - 1), str(k + (k + 1) * p))
+        lucas = run_module("eval", "--method", "lucas", *pair, timeout=10)
+        assert lucas.returncode == 0
+        assert lucas.stdout == f"{p - 1} (mod {p})\n"
+        proc = run_module("compare", *pair, timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "AGREE"
+
     def test_mid_prime_blocks_at_width_two(self):
         # blocks below 1009**2 took 7.1 s by the loop
         proc = run_module(

@@ -160,7 +160,8 @@ class TestExactBinomMod:
         assert engine._unit_factorials.cache_info().misses == 10
 
     def test_over_loop_budget_raises(self):
-        # checkpoints for p = 10**9 + 7 would take about 10**9 products
+        # checkpoints for p = 10**9 + 7 (v = 2**15) would take about 5 * 10**6
+        # steps to set up
         with pytest.raises(TooLarge, match="loop steps"):
             exact_binom_mod(999999999, 500000000, 1000000007, 1)
         # checkpoints for (2097169, 2) would take about 8.4 * 10**6 steps to set up
@@ -199,6 +200,23 @@ class TestExactBinomMod:
             source = engine._checkpoints(p, e)
             for x in [0, 1, p - 1, pe - p, pe - 1] + [rng.randrange(pe) for _ in range(300)]:
                 assert source[x] == want[x], (p, e, x)
+
+    def test_factorial_marks_against_prefix_products(self):
+        # Each mark (k v)! mod p from shifted evaluation against the linear
+        # sweep: chunked prefix products, 64 factors a chunk.
+        above = range(2**14 + 1, 2**14 + 2000)
+        primes = [n for n in above if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        for p in primes + [65537, 999983, 1000003]:
+            source = engine._Checkpoints(p, 1)
+            v = source.step
+            assert v & (v - 1) == 0 and v * v // 4 < p <= v * v
+            want, acc = [1], 1
+            for top in range(v, p, v):
+                for j in range(top - v + 1, top + 1, 64):
+                    acc = acc * math.prod(range(j, min(j + 64, top + 1))) % p
+                want.append(acc)
+            assert source.marks == want, p
+            assert source[p - 1] == p - 1, p  # Wilson
 
     def test_checkpoints_against_loop(self):
         # 3000 seeded blocks, grouped by (p, e) so each source is built once
