@@ -5,8 +5,10 @@
   the binomial of the top n pseudo-digit blocks times, for each lower
   position, the quotient of an n-block binomial by the (n-1)-block
   binomial above it.  Every quotient is p-integral and its valuation is
-  exactly the valuation contributed by its lowest pseudo-digit.  Untraced,
-  a quotient is read from unit factorials at that group's own levels.
+  exactly the valuation contributed by its lowest pseudo-digit.  A trace
+  records these factors.  Untraced, the unit is one Granville pass over
+  the digits: the unit factorials of the windows floor(x/p**d) mod p**n
+  of A, B and A - B, whose grouping into factors changes no read.
 * ``davis_webb_evaluate``: the digit-window bracket recursion, which
   keeps the window a fixed width N and pays a factor p each time the top
   window comparison fails.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 
-from .digits import DigitString, _borrows, _digits_of, ensure_prime
+from .digits import DigitString, _digits_of, ensure_prime
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
 from .pseudo import PseudoExpansion, block, decompose, pseudo_valuation
 
@@ -427,7 +429,6 @@ def _walk(
     width: int,
     value: Callable[[int, int, int], tuple[int, int]],
     factors: list[Factor] | None = None,
-    quotient: bool = False,
 ) -> tuple[int, int]:
     """(valuation, unit mod p**width) of the block-quotient product over
     e's groups.
@@ -440,24 +441,17 @@ def _walk(
     the running value cut to the digits of its groups, and the numerator
     folds group i's digits in below it.  Units are accumulated apart and divided once;
     given a list, the walk appends one Factor per position, with digit
-    windows from ``block``.
-
-    With ``quotient`` (untraced binomials at precision width), a lower
-    position reads its quotient from group i's own g levels once a unit
-    factorial source is at hand, checked after each position that took
-    block values.  With X the numerator block and C = A - B, Granville's
-    formula leaves p**v prod_{j<g} F(Xa_j) / (F(Xb_j) F(Xc_j)), where x_j
-    is floor(x/p**j), F(x) = s**floor(x/p**width) T[x mod p**width] as in
-    ``_binom_levels``, and v = sum_{j=1..g} (Xa_j - Xb_j - Xc_j).
+    windows from ``block``.  Traces, Davis-Webb and the untraced theorem
+    where its unit factorials are not worth their set-up (``_pass_source``)
+    take this walk.
     """
     p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
     pe = p**width
     top = max(len(bounds) - 1 - width, 0)
     # hi: the digit offset above group i; k: the denominator's digit count.
     hi = bounds[-1]
-    av = bv = k = v = wraps = 0
+    av = bv = k = v = 0
     pk = num = den = 1
-    t = None
     for i in range(top, -1, -1):
         if i < top:
             if bounds[i + width] - hi != k:
@@ -471,21 +465,6 @@ def _walk(
             bv = b[j] + p * bv
         g = hi - lo
         hi = lo
-        if t is not None:
-            if g == 1 and av < pe:
-                # one level below p**width: no wrap, and no borrow out of
-                # group i's one digit
-                num = num * t[av] % pe
-                den = den * t[bv] * t[av - bv] % pe
-                continue
-            xa, xb, xc = av, bv, av - bv
-            for _ in range(g):
-                num = num * t[xa % pe] % pe
-                den = den * t[xb % pe] * t[xc % pe] % pe
-                wraps += xa // pe + xb // pe + xc // pe
-                xa, xb, xc = xa // p, xb // p, xc // p
-                v += xa - xb - xc
-            continue
         nv, nu = value(av, bv, k + g)
         v += nv
         num = num * nu % pe
@@ -494,10 +473,6 @@ def _walk(
             dv, du = value(dav, dbv, k)
             v -= dv
             den = den * du % pe
-        if quotient and i:
-            # the unit factorials at hand: the table, or checkpoints once built
-            small = pe <= _TABLE_BUDGET
-            t = _unit_factorials(p, width) if small else _checkpoint_cache.get((p, width))
         if factors is not None:
             na, nb = block(e, i, width)
             nvu = _vu(p, nv, nu, width)
@@ -507,9 +482,67 @@ def _walk(
                 factors.append(Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, width), q))
             else:
                 factors.append(Factor(i, na, nb, None, None, nvu, None, nvu))
-    if wraps & 1 and not (p == 2 and width >= 3):
-        num = pe - num
     return v, num * pow(den, -1, pe) % pe
+
+
+def _granville_unit(e: PseudoExpansion, n: int, t: array | _Checkpoints) -> int:
+    """C(A, B) / p**m mod p**n for e's pair, from t, the unit factorials
+    of (p, n): Granville's formula as in ``_binom_levels``, in one pass.
+
+    With C = A - B and x_d = floor(x/p**d), the unit is the product over
+    digits d of F(A_d) / (F(B_d) F(C_d)), F(x) = s**floor(x/p**n) T[x mod
+    p**n].  The windows x_d mod p**n roll down the digits; s's exponent is
+    the count of borrows out of digits n - 1 and up.  C's digits come from
+    one borrow pass, below digit n - 1 and from it up, whose total count,
+    m, is checked against the segmentation.
+    """
+    p, a, b = e.p, e.a_digits, e.b_digits
+    pe = p**n
+    c: list[int] = []
+    counts = []
+    borrow = 0
+    for part in (slice(n - 1), slice(n - 1, None)):
+        count = 0
+        for x, y in zip(a[part], b[part]):
+            d = x - y - borrow
+            borrow = d < 0
+            count += borrow
+            c.append(d + p if borrow else d)
+        counts.append(count)
+    low, high = counts
+    assert low + high == pseudo_valuation(e), "borrow count disagrees with the segmentation"
+    wa = wb = wc = 0
+    num = den = 1
+    for x, y, z in zip(reversed(a), reversed(b), reversed(c)):
+        wa = (wa * p + x) % pe
+        wb = (wb * p + y) % pe
+        wc = (wc * p + z) % pe
+        num = num * t[wa] % pe
+        den = den * t[wb] * t[wc] % pe
+    if high & 1 and not (p == 2 and n >= 3):
+        num = pe - num
+    return num * pow(den, -1, pe) % pe
+
+
+def _pass_source(A: int, B: int, p: int, n: int) -> array | _Checkpoints | None:
+    """The unit factorials of (p, n) for ``_granville_unit``, or None where
+    the block walk is cheaper.
+
+    The pass costs what reading C(A, B) from checkpoints would: their
+    set-up when not built, plus three reads a digit.  If the loop takes
+    every block value of the walk, that costs under 4 min(B, A - B) steps:
+    a block's loop takes min(b, c) steps for its B and C = A - B digits,
+    and the blocks' B values sum to under 3 B, their C values to under 3 C.
+    As in ``exact_binom_mod``, no set-up over the budget is started.
+    """
+    if p**n <= _TABLE_BUDGET:
+        return _unit_factorials(p, n)
+    if (p, n) in _checkpoint_cache or (
+        _checkpoint_cost(0, p, n) <= _LOOP_BUDGET
+        and _checkpoint_cost(A, p, n) < 4 * min(B, A - B)
+    ):
+        return _checkpoints(p, n)
+    return None
 
 
 def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
@@ -557,7 +590,9 @@ def theorem_evaluate(
     the low 8N digits and returns (0, None) when they reach N, without
     converting or segmenting the rest.  Pass a precomputed ``expansion``
     to amortize decomposition across several N (it always takes the
-    full path), and ``trace=False`` to skip building the factor table.
+    full path), and ``trace=False`` to skip building the factor table:
+    the unit then comes from ``_granville_unit``, or from the block walk
+    where ``_pass_source`` finds the unit factorials not worth building.
     """
     _check_pair(A, B)
     ensure_prime(p)
@@ -573,11 +608,11 @@ def theorem_evaluate(
         return 0, tr
     n = N - m
     factors = [] if trace else None
-    total, unit = _walk(
-        expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors, quotient=not trace
-    )
-    assert total == m, "factor valuations must sum to the borrow count"
-    assert _borrows(expansion.a_digits, expansion.b_digits) == m, "valuation disagrees with borrows"
+    t = None if trace else _pass_source(A, B, p, n)
+    if t is None:
+        unit = _walk(expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)[1]
+    else:
+        unit = _granville_unit(expansion, n, t)
     residue = p**m * unit % p**N
     tr = EvalTrace("theorem", p, N, n, m, unit, residue, tuple(factors)) if trace else None
     return residue, tr

@@ -30,17 +30,25 @@ _COST_GUARD = 15 * 10**8
 
 
 def _result_digits_estimate(a: int, b: int) -> int:
-    """Upper estimate of the decimal digit count of C(a, b)."""
+    """Upper estimate of the decimal digit count of C(a, b).
+
+    Float lgamma is close, but each of its three terms is rounded by up
+    to about a ln(a) 2**-52, which from about a = 10**17 on can swamp
+    their difference.  With k = min(b, a - b) the result is at least
+    k ln 2 nats; lgamma is kept while the rounding stays under k / 2**10
+    nats, and otherwise C(a, b) <= (e a / k)**k, which cannot cancel,
+    gives k log10(e a / k) + 1 digits.
+    """
     k = min(b, a - b)
     if k == 0:
         return 1
     try:
-        return int(
-            (math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1))
-            / math.log(10)
-        ) + 1
+        if a * math.log(a) < k * 2**40:
+            nats = math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+            return int(nats / math.log(10)) + 1
+        return int(k * (math.log10(a) - math.log10(k) + math.log10(math.e))) + 1
     except OverflowError:
-        # a too large for float; C(a, b) <= a**k is bound enough, and
+        # a or k too large for float; C(a, b) <= a**k is bound enough, and
         # bit_length avoids the int-to-str conversion limit on huge a
         digits_a = int(a.bit_length() * 0.30103) + 1
         return k * digits_a

@@ -395,6 +395,35 @@ class TestBoundaries:
         assert "Traceback" not in proc.stdout + proc.stderr
 
 
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ("--prime", "7", "--radix", "10", "-N", "2", "1" + "0" * 25, "5000000"),
+            ("--prime", "11", "-N", "2", "751393538505097323767a15221543", "8a6a2509"),
+        ],
+    )
+    def test_oracle_guard_past_float_precision(self, pair):
+        # Past a ~ 10**18 float lgamma cancelled to a 1-digit estimate, so
+        # both guards passed and the oracle ran min(b, a-b) big-int steps.
+        proc = run_module("compare", *pair, timeout=2)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith("exact: skipped (")
+        assert [line.split(":")[0] for line in lines[1:]] == ["theorem", "davis-webb", "AGREE"]
+        assert lines[1].split(":")[1] == lines[2].split(":")[1]
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+    def test_exact_method_past_float_precision(self):
+        proc = run_module(
+            "eval", "--prime", "11", "-N", "13", "--method", "exact",
+            "157a7a1081a837a6783580320a3959", "81732735", timeout=2,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+
 class TestBench:
     def test_small_bench_checks_oracle(self, capsys):
         code, out, _ = run(

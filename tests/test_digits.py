@@ -6,6 +6,8 @@ import pytest
 
 from ppbinom.digits import (
     DigitString,
+    _digits_of,
+    _radix_plan,
     ensure_prime,
     is_prime,
     parse_natural,
@@ -93,6 +95,52 @@ class TestParseNatural:
             parse_natural("101", 1)
         with pytest.raises(ValueError):
             parse_natural("101", 37)
+
+
+def divmod_digits(n, base):
+    """Reference radix conversion: one divmod a digit."""
+    out = [n % base]
+    n //= base
+    while n:
+        n, r = divmod(n, base)
+        out.append(r)
+    return tuple(out)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+class TestDigitsOf:
+    # primes up to 31 read digit tuples from a table; 37 and 999983 have none
+    @pytest.mark.parametrize("p", SMALL_PRIMES + (37, 999983))
+    def test_edges_match_divmod(self, p):
+        chunk, k, step, table = _radix_plan(p)
+        assert (table is None) == (p > 31)
+        edges = {0, 1, p - 1, p, step - 1, step, step + 1, chunk - 1, chunk, chunk + 1}
+        edges |= {chunk * chunk - 1, chunk * chunk, chunk * chunk + 1, chunk * step - 1}
+        for n in sorted(edges):
+            assert _digits_of(n, p) == divmod_digits(n, p), (p, n)
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES + (37, 999983))
+    def test_lengths_around_reads_and_chunks(self, p):
+        # random digits, top digit nonzero, at lengths one below, at and one
+        # above each multiple of the digits a read takes, and of a chunk
+        _, k, _, table = _radix_plan(p)
+        j = len(table[0]) if table else 1
+        rng = random.Random(p)
+        lengths = {t * j + d for t in (1, 2, 3) for d in (-1, 0, 1)}
+        lengths |= {t * k + d for t in (1, 2, 3) for d in (-1, 0, 1)}
+        for length in sorted(x for x in lengths if x > 0):
+            ds = [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)]
+            n = sum(d * p**i for i, d in enumerate(ds))
+            assert _digits_of(n, p) == tuple(ds), (p, length)
+
+    def test_table_holds_every_tuple(self):
+        for p in SMALL_PRIMES:
+            _, k, step, table = _radix_plan(p)
+            j = len(table[0])
+            assert j * step <= 2048 < (j + 1) * step * p and k % j == 0
+            assert [sum(d * p**i for i, d in enumerate(t)) for t in table] == list(range(step))
 
 
 class TestToBaseP:

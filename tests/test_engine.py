@@ -665,11 +665,13 @@ def test_benchmark_hooks_stay_live(monkeypatch):
     ad = [rng.randrange(p) for _ in range(300)] + [1]
     A = from_digits(ad, p)
     B = from_digits([rng.randrange(d + 1) for d in ad], p)  # m = 0
-    theorem_evaluate(A, B, p, N, trace=False)
-    # the table is at hand, so only the top factor is a block binomial
-    # and the lower positions read group quotients
+    residue = theorem_evaluate(A, B, p, N, trace=False)[0]
+    # the table is at hand, so the untraced call reads unit factorials
+    # and evaluates no block binomial
+    assert engine._binom_vu.cache_info().misses == 0 == len(calls)
+    assert theorem_evaluate(A, B, p, N)[0] == residue
     misses = engine._binom_vu.cache_info().misses
-    assert misses == 1 == len(calls)
+    assert misses == len(calls) > 0
     davis_webb_evaluate(A, B, p, N, trace=False)
     assert engine._dw_bracket.cache_info().misses > 0
 
@@ -683,3 +685,26 @@ def test_group_quotients_wait_for_a_source():
     A = from_digits([5, 999982, 3, 7], p)  # m = 0 with B = 1
     assert theorem_evaluate(A, 1, p, N, trace=False) == (A % p**N, None)
     assert not engine._checkpoint_cache
+
+
+def test_passed_expansion_reads_checkpoints(monkeypatch):
+    # An expansion passed in takes the full path; with m = 1 < N = 11 the
+    # pass reads unit factorials at (3, 10), above the table budget, from
+    # checkpoints built for it, and evaluates no block binomial.
+    calls = []
+    real = engine.exact_binom_mod
+    monkeypatch.setattr(engine, "exact_binom_mod", lambda *a: calls.append(a) or real(*a))
+    engine._checkpoint_cache.clear()
+    engine._binom_vu.cache_clear()
+    rng = random.Random(10)
+    p, N = 3, 11
+    ad = [rng.randrange(p) for _ in range(400)] + [2, 0, 1]
+    bd = [rng.randrange(d + 1) for d in ad[:400]] + [0, 1, 0]  # one borrow
+    A, B = from_digits(ad, p), from_digits(bd, p)
+    e = decompose(A, B, p)
+    assert pseudo_valuation(e) == 1 and p ** (N - 1) > engine._TABLE_BUDGET
+    residue, tr = theorem_evaluate(A, B, p, N, expansion=e, trace=False)
+    assert tr is None and not calls
+    assert list(engine._checkpoint_cache) == [(p, N - 1)]
+    assert residue == theorem_evaluate(A, B, p, N, expansion=e)[0]
+    assert residue == davis_webb_evaluate(A, B, p, N)[0]

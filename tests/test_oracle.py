@@ -6,6 +6,7 @@ import pytest
 
 from ppbinom.errors import OrderViolation, TooLarge
 from ppbinom.oracle import (
+    _result_digits_estimate,
     binom_exact,
     binom_mod_pascal,
     kummer_valuation,
@@ -48,6 +49,24 @@ class TestBinomExact:
         # The size guard is checked first, so its message is unchanged.
         with pytest.raises(TooLarge, match="digits, over the 1000000 digit guard"):
             binom_exact(10**9, 5 * 10**8)
+
+
+    def test_estimate_past_float_precision(self):
+        # lgamma's three terms cancelled to 1 digit from a ~ 10**19 at
+        # k = 1000, and from 10**22 at k = 10**6; C(10**19, 1000) has
+        # 16433 digits, and the bound k log10(e a / k) + 1 reads 16435
+        assert _result_digits_estimate(10**19, 1000) == 16435
+        assert math.comb(10**19, 1000).bit_length() * math.log10(2) < 16435
+        assert _result_digits_estimate(10**25, 5 * 10**6) == 93676623
+        with pytest.raises(TooLarge, match="digit guard"):
+            binom_exact(10**25, 5 * 10**6)
+        # where lgamma is accurate it stays: C(10**5, 5*10**4) has 30101
+        # digits, and the CLI golden's skip text reads this number
+        assert _result_digits_estimate(10**5, 5 * 10**4) == 30101
+        assert (
+            _result_digits_estimate(123456789012345678901234567890, 98765432109876543210)
+            == 941353960968213626881
+        )
 
 
 class TestBinomModPascal:
