@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 
-from .digits import DigitString, _digits_of, ensure_prime
+from .digits import DigitString, _borrows, _digits_of, ensure_prime
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
 from .pseudo import PseudoExpansion, block, decompose, pseudo_valuation
 
@@ -524,6 +524,13 @@ def _granville_unit(e: PseudoExpansion, n: int, t: array | _Checkpoints) -> int:
     return num * pow(den, -1, pe) % pe
 
 
+def _walk_agrees(e: PseudoExpansion, v: int) -> bool:
+    """Whether v, a block walk's valuation over e, is both the
+    segmentation's m and Kummer's borrow count, as ``_granville_unit``
+    checks its own count."""
+    return v == pseudo_valuation(e) == _borrows(e.a_digits, e.b_digits)
+
+
 def _pass_source(A: int, B: int, p: int, n: int) -> array | _Checkpoints | None:
     """The unit factorials of (p, n) for ``_granville_unit``, or None where
     the block walk is cheaper.
@@ -610,7 +617,8 @@ def theorem_evaluate(
     factors = [] if trace else None
     t = None if trace else _pass_source(A, B, p, n)
     if t is None:
-        unit = _walk(expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)[1]
+        v, unit = _walk(expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
+        assert _walk_agrees(expansion, v), "factor valuations disagree with the borrow count"
     else:
         unit = _granville_unit(expansion, n, t)
     residue = p**m * unit % p**N

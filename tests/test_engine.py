@@ -687,6 +687,20 @@ def test_group_quotients_wait_for_a_source():
     assert not engine._checkpoint_cache
 
 
+@pytest.mark.skipif(not __debug__, reason="the check is an assertion")
+@pytest.mark.parametrize("trace", [True, False])
+def test_walk_valuation_is_checked(monkeypatch, trace):
+    # Traces and the block-walk fallback check the walk's valuation
+    # against m, as the Granville pass checks its own borrow count.
+    real = engine._walk
+    monkeypatch.setattr(engine, "_walk", lambda *a: (real(*a)[0] + 1, real(*a)[1]))
+    engine._checkpoint_cache.clear()
+    p = 999983
+    A = from_digits([5, 999982, 3, 7], p)
+    with pytest.raises(AssertionError, match="borrow count"):
+        theorem_evaluate(A, 1, p, 2, trace=trace)
+
+
 def test_passed_expansion_reads_checkpoints(monkeypatch):
     # An expansion passed in takes the full path; with m = 1 < N = 11 the
     # pass reads unit factorials at (3, 10), above the table budget, from

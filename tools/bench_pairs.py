@@ -1,20 +1,19 @@
-"""Alternating parent/change runs of ``bench/run.py``, written as one
+"""Alternating parent/change runs of the benchmark, written as one
 ``BENCH_<topic>.json``.
 
 Usage::
 
     python3 tools/bench_pairs.py --parent PARENT_CHECKOUT --change . \
-        --seeds 1 2 --pairs 10 --traced low_valuation --traced-pairs 3 \
         --topic "..." --out BENCH_topic.json
 
-Pair i runs every workload once in each checkout, on seed
-``seeds[i % len(seeds)]``, the parent first in even pairs and the change
-first in odd ones; each run is a fresh ``bench/run.py`` of ``--seconds``
-from that checkout.  Then ``--traced-pairs`` traced pairs per workload in
-``--traced`` give the per-layer times.  For each metric the file holds
-both sides' runs, median and inclusive quartiles, how many pairs the
-change read better (ties count for neither side) and the ratio of the
-medians, change over parent.
+The command, run length and workloads come from the BENCHMARK.json of
+the checkout holding this script, as in ``bench/baseline.py``.  Pair i runs every workload once in each checkout, on
+seed SEEDS[i % 2], the parent first in even pairs and the change first
+in odd ones.  Then TRACED_PAIRS traced pairs of each TRACED workload give
+the per-layer times.  For each metric the file holds both sides'
+``bench/baseline.py`` summary (values, median, spread), how many pairs
+the change read better (ties count for neither side) and the ratio of
+the medians, change over parent.
 """
 
 from __future__ import annotations
@@ -22,49 +21,50 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("low_valuation", "random_bulk", "large_prime", "cli_text")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import baseline  # noqa: E402
+
+SEEDS = (1, 2)
+PAIRS = 10
+TRACED = ("low_valuation",)
+TRACED_PAIRS = 3
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(int(trace))]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
-    print(f"{checkout} {workload} seed={seed} trace={int(trace)} failed={result['failed']}",
-          file=sys.stderr)
+def one_run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    # baseline.one_run, but in either checkout rather than its own.
+    cmd = baseline.BENCH["command"] + [
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(baseline.BENCH["run_seconds"]), "--trace", str(trace),
+    ]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True, timeout=300)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    print(checkout, workload, seed, trace, result["correct"], result["failed"], file=sys.stderr)
     return result
 
 
-def summary(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    sides = {"parent": baseline.summary(parent), "change": baseline.summary(change)}
     out = {}
-    for name in parent[0]["metrics"]:
-        sides = {}
-        for side, results in (("parent", parent), ("change", change)):
-            runs = [r["metrics"][name]["value"] for r in results]
-            q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
-            sides[side] = {"median": statistics.median(runs), "q1": q1, "q3": q3, "runs": runs}
-        sign = -1 if better.get(name, "lower") == "higher" else 1
-        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"]["runs"], sides["change"]["runs"]))
-        base = sides["parent"]["median"]
-        out[name] = {**sides, "change_better_pairs": f"{wins}/{len(parent)}",
-                     "change_over_parent_median": sides["change"]["median"] / base if base else None}
+    for name, p in sides["parent"].items():
+        c = sides["change"][name]
+        sign = -1 if better[name] == "higher" else 1
+        wins = sum(sign * (cv - pv) < 0 for pv, cv in zip(p["values"], c["values"]))
+        out[name] = {"parent": p, "change": c, "change_better_pairs": f"{wins}/{len(parent)}",
+                     "change_over_parent_median": c["median"] / p["median"] if p["median"] else None}
     return out
 
 
-def pairs(args, workloads, count, trace) -> dict:
+def pairs(checkouts: dict[str, Path], workloads, count: int, trace: int) -> dict:
     results = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(count):
-        seed = args.seeds[i % len(args.seeds)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in workloads:
             for side in order:
-                checkout = args.parent if side == "parent" else args.change
-                results[w][side].append(run(checkout, w, seed, args.seconds, trace))
+                results[w][side].append(one_run(checkouts[side], w, SEEDS[i % 2], trace))
     return results
 
 
@@ -72,17 +72,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
-    ap.add_argument("--traced", nargs="*", default=[])
-    ap.add_argument("--traced-pairs", type=int, default=3)
     ap.add_argument("--topic", required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    spec = baseline.BENCH
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    checkouts = {"parent": args.parent, "change": args.change}
     parent_rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=args.parent,
                                 capture_output=True, text=True).stdout.strip()
     doc = {
@@ -91,18 +86,15 @@ def main() -> int:
         "host": f"{platform.machine()} host, CPython {platform.python_version()}; "
                 "times are bench/run.py's probe-scaled figures",
         "command": " ".join(["python3", "tools/bench_pairs.py", "--parent", "PARENT_CHECKOUT",
-                             "--change", ".", "--seeds", *map(str, args.seeds),
-                             "--pairs", str(args.pairs), "--seconds", f"{args.seconds:g}",
-                             "--workloads", *args.workloads, "--traced", *args.traced,
-                             "--traced-pairs", str(args.traced_pairs),
-                             "--topic", repr(args.topic), "--out", args.out.name]),
+                             "--change", ".", "--topic", repr(args.topic), "--out", args.out.name]),
         "end_to_end": {}, "per_layer_traced": {}, "failed_ops": {},
     }
-    for w, sides in pairs(args, args.workloads, args.pairs, False).items():
-        doc["end_to_end"][w] = summary(sides["parent"], sides["change"], better)
+    names = [w["name"] for w in spec["workloads"]]
+    for w, sides in pairs(checkouts, names, PAIRS, 0).items():
+        doc["end_to_end"][w] = compare(sides["parent"], sides["change"], better)
         doc["failed_ops"][w] = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
-    for w, sides in pairs(args, args.traced, args.traced_pairs, True).items():
-        doc["per_layer_traced"][w] = summary(sides["parent"], sides["change"], better)
+    for w, sides in pairs(checkouts, TRACED, TRACED_PAIRS, 1).items():
+        doc["per_layer_traced"][w] = compare(sides["parent"], sides["change"], better)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
