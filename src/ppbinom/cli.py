@@ -194,6 +194,9 @@ def run_bench(args: argparse.Namespace) -> int:
     p, N, digits = args.prime, args.mod_exp, args.digits
     if digits < 1:
         raise ValueError("--digits must be >= 1")
+    if digits * p.bit_length() > 2**20:
+        # each trial segments the whole pair, in time quadratic in its size
+        raise ValueError(f"--digits {digits} at p = {p} breaks digits * p.bit_length() <= 2**20")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     rng = random.Random(args.seed)

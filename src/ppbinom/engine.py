@@ -7,8 +7,9 @@
   binomial above it.  Every quotient is p-integral and its valuation is
   exactly the valuation contributed by its lowest pseudo-digit.  A trace
   records these factors.  Untraced, the unit is one Granville pass over
-  the digits: the unit factorials of the windows floor(x/p**d) mod p**n
-  of A, B and A - B, whose grouping into factors changes no read.
+  the digits, the same pass that evaluates a single block binomial: the
+  unit factorials of the windows floor(x/p**d) mod p**n of A, B and
+  A - B, whose grouping into factors changes no read.
 * ``davis_webb_evaluate``: the digit-window bracket recursion, which
   keeps the window a fixed width N and pays a factor p each time the top
   window comparison fails.
@@ -86,8 +87,8 @@ _vu = lru_cache(maxsize=1 << 12)(ValuedUnit)
 # p-free factorials mod p**e: 4 bytes an entry, so 64 KiB at the budget
 # and at most 1 MiB across the 16 cached tables (the 10 that the
 # low-valuation benchmark mix cycles through take about 120 KB).  Above
-# it the same level walk reads checkpoints, or the multiplicative loop
-# runs where it is cheaper.
+# it the same Granville pass reads checkpoints, or the multiplicative
+# loop runs where it is cheaper.
 _TABLE_BUDGET = 1 << 14
 
 # The one cost budget, in loop steps (a few seconds): above the table
@@ -101,26 +102,26 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     """C(a, b) as (v, unit): p**v times a unit known mod p**e.
 
     Granville's formula reduces the unit to unit factorials (x!)_p mod
-    p**e at the O(log_p a) levels floor(a/p**j).  When p**e <= 2**14
-    they come from a prefix table built once per (p, e).  Above that
-    they come from checkpoints, built once per (p, e) with the last two
-    kept: at e = 1, x! mod p at the multiples of the power of two v
-    above sqrt(p - 1), from shifted evaluation in about 0.8 v**1.5 loop
-    steps; at e >= 2, doubling polynomials.  The multiplicative formula
+    p**e of the windows floor(a/p**d) mod p**e of a, b and a - b, three
+    reads a base-p digit of a (``_granville``).  When p**e <= 2**14 they
+    come from a prefix table built once per (p, e).  Above that they come
+    from checkpoints, built once per (p, e) with the last two kept: at
+    e = 1, x! mod p at the multiples of the power of two v above
+    sqrt(p - 1), from shifted evaluation in about 0.8 v**1.5 loop steps;
+    at e >= 2, doubling polynomials.  The multiplicative formula
     prod_{i=1..b} (a-b+i)/i, at min(b, a-b) steps, runs where it is
-    estimated cheaper than their set-up plus reads, as for tiny blocks at
-    large e.  TooLarge is raised when the cheaper of the two exceeds 2**22
-    steps; at e = 1 the checkpoints fit for p <= 2**28.
+    estimated cheaper than their set-up plus reads (``_source``), as for
+    tiny blocks at large e.  TooLarge is raised when the cheaper of the
+    two exceeds 2**22 steps; at e = 1 the checkpoints fit for p <= 2**28.
     """
     _check_pair(a, b)
     ensure_prime(p)
     if e < 1:
         raise ValueError("precision e must be >= 1")
-    if p**e <= _TABLE_BUDGET:
-        return _binom_levels(a, b, p, e, _unit_factorials(p, e))
     steps = min(b, a - b)
-    if _checkpoint_cost(a, p, e) < min(steps, _LOOP_BUDGET + 1):
-        return _binom_levels(a, b, p, e, _checkpoints(p, e))
+    t = _source(a, p, e, min(steps, _LOOP_BUDGET + 1))
+    if t is not None:
+        return _binom_levels(a, b, p, e, t)
     if steps > _LOOP_BUDGET:
         raise TooLarge(
             f"C({describe_int(a)}, {describe_int(b)}) mod {describe_int(p)}**{e} "
@@ -333,9 +334,9 @@ def _checkpoint_cost(a: int, p: int, e: int) -> int:
     """Estimated loop steps for one block with A value a read from the
     checkpoints of (p, e), plus their set-up when not built.
 
-    A level takes three reads, with at most one level a base-p digit of
-    a, and a read about bits / 2 Horner evaluations of e terms plus half
-    a step of products.  The weights were fitted on CPython 3.11, where
+    The Granville pass takes three reads a base-p digit of a, and a read
+    about bits / 2 Horner evaluations of e terms plus half a step of
+    products.  The weights were fitted on CPython 3.11, where
     a loop step takes about 0.4 us and a factor inside ``math.prod`` a
     third of one.  The e = 1 set-up, 0.8 v**1.5 + 14 v steps at step v,
     covers set-ups timed at v = 2**8 .. 2**14 (1.7 ms .. 0.66 s): the
@@ -350,36 +351,64 @@ def _checkpoint_cost(a: int, p: int, e: int) -> int:
     return reads * read + (0 if (p, e) in _checkpoint_cache else setup)
 
 
-def _binom_levels(
-    a: int, b: int, p: int, e: int, t: array | _Checkpoints
+def _source(a: int, p: int, e: int, steps: int) -> array | _Checkpoints | None:
+    """The unit factorials of (p, e) for a Granville pass over the digits
+    of a: the table within its budget, else the checkpoints when their
+    set-up fits the loop budget and ``_checkpoint_cost`` is under ``steps``
+    loop steps, else None."""
+    if p**e <= _TABLE_BUDGET:
+        return _unit_factorials(p, e)
+    if _checkpoint_cost(0, p, e) <= _LOOP_BUDGET and _checkpoint_cost(a, p, e) < steps:
+        return _checkpoints(p, e)
+    return None
+
+
+def _granville(
+    a: tuple[int, ...], b: tuple[int, ...], p: int, e: int, t: array | _Checkpoints
 ) -> tuple[int, int]:
-    # a!/p**v(a!) = prod_j (floor(a/p**j)!)_p, and (x!)_p = s**q * T[r]
-    # with q, r = divmod(x, p**e), where s = -1 is the product of the
-    # units mod p**e (+1 for p = 2, e >= 3) and T[r] = (r!)_p mod p**e
-    # is read from t, the table or checkpoints.  Writing a_j for
-    # floor(a/p**j) and c = a - b, the borrow d_j = a_j - b_j - c_j is 0
-    # or 1; v = sum_{j>=1} d_j (Kummer), and the exponent of s, the sum
-    # over j of q(a_j) - q(b_j) - q(c_j) with q(x) = floor(x/p**e), is
-    # sum_{j>=e} d_j.  Once one of b_j, c_j is 0 and the other equals
-    # a_j, every higher level cancels.
+    """(v, unit mod p**e) of C(A, B) from the little-endian digits a, b
+    of A >= B, b padded to a's length, and t, the unit factorials of (p, e).
+
+    Granville: A!/p**v(A!) = prod_d (A_d!)_p with A_d = floor(A/p**d),
+    and (x!)_p = s**floor(x/p**e) T[x mod p**e], where s = -1 is the
+    product of the units mod p**e (+1 for p = 2, e >= 3) and T[r] =
+    (r!)_p mod p**e is read from t, the table or checkpoints.  With C =
+    A - B, the unit is the product over digits d of F(A_d) / (F(B_d)
+    F(C_d)), F(x) = T[x mod p**e]; the windows x_d mod p**e roll down
+    the digits.  s's exponent, the sum over d of q(A_d) - q(B_d) - q(C_d)
+    with q(x) = floor(x/p**e), is the count of borrows out of digits e - 1
+    and up.  C's digits come from one borrow pass, below digit e - 1 and
+    from it up, whose total count is v (Kummer).
+    """
     pe = p**e
-    c = a - b
-    v = wraps = level = 0
+    c: list[int] = []
+    counts = []
+    borrow = 0
+    for part in (slice(e - 1), slice(e - 1, None)):
+        count = 0
+        for x, y in zip(a[part], b[part]):
+            d = x - y - borrow
+            borrow = d < 0
+            count += borrow
+            c.append(d + p if borrow else d)
+        counts.append(count)
+    low, high = counts
+    wa = wb = wc = 0
     num = den = 1
-    while (b and c) or a != b + c:
-        num = num * t[a % pe] % pe
-        den = den * t[b % pe] * t[c % pe] % pe
-        a //= p
-        b //= p
-        c //= p
-        d = a - b - c
-        v += d
-        level += 1
-        if level >= e:
-            wraps += d
-    if wraps & 1 and not (p == 2 and e >= 3):
+    for x, y, z in zip(reversed(a), reversed(b), reversed(c)):
+        wa = (wa * p + x) % pe
+        wb = (wb * p + y) % pe
+        wc = (wc * p + z) % pe
+        num = num * t[wa] % pe
+        den = den * t[wb] * t[wc] % pe
+    if high & 1 and not (p == 2 and e >= 3):
         num = pe - num
-    return v, num * pow(den, -1, pe) % pe
+    return low + high, num * pow(den, -1, pe) % pe
+
+
+def _binom_levels(a: int, b: int, p: int, e: int, t: array | _Checkpoints) -> tuple[int, int]:
+    ad, bd = _digits_of(a, p), _digits_of(b, p)
+    return _granville(ad, bd + (0,) * (len(ad) - len(bd)), p, e, t)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -442,7 +471,7 @@ def _walk(
     folds group i's digits in below it.  Units are accumulated apart and divided once;
     given a list, the walk appends one Factor per position, with digit
     windows from ``block``.  Traces, Davis-Webb and the untraced theorem
-    where its unit factorials are not worth their set-up (``_pass_source``)
+    where its unit factorials are not worth their set-up (``_source``)
     take this walk.
     """
     p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
@@ -483,73 +512,6 @@ def _walk(
             else:
                 factors.append(Factor(i, na, nb, None, None, nvu, None, nvu))
     return v, num * pow(den, -1, pe) % pe
-
-
-def _granville_unit(e: PseudoExpansion, n: int, t: array | _Checkpoints) -> int:
-    """C(A, B) / p**m mod p**n for e's pair, from t, the unit factorials
-    of (p, n): Granville's formula as in ``_binom_levels``, in one pass.
-
-    With C = A - B and x_d = floor(x/p**d), the unit is the product over
-    digits d of F(A_d) / (F(B_d) F(C_d)), F(x) = s**floor(x/p**n) T[x mod
-    p**n].  The windows x_d mod p**n roll down the digits; s's exponent is
-    the count of borrows out of digits n - 1 and up.  C's digits come from
-    one borrow pass, below digit n - 1 and from it up, whose total count,
-    m, is checked against the segmentation.
-    """
-    p, a, b = e.p, e.a_digits, e.b_digits
-    pe = p**n
-    c: list[int] = []
-    counts = []
-    borrow = 0
-    for part in (slice(n - 1), slice(n - 1, None)):
-        count = 0
-        for x, y in zip(a[part], b[part]):
-            d = x - y - borrow
-            borrow = d < 0
-            count += borrow
-            c.append(d + p if borrow else d)
-        counts.append(count)
-    low, high = counts
-    assert low + high == pseudo_valuation(e), "borrow count disagrees with the segmentation"
-    wa = wb = wc = 0
-    num = den = 1
-    for x, y, z in zip(reversed(a), reversed(b), reversed(c)):
-        wa = (wa * p + x) % pe
-        wb = (wb * p + y) % pe
-        wc = (wc * p + z) % pe
-        num = num * t[wa] % pe
-        den = den * t[wb] * t[wc] % pe
-    if high & 1 and not (p == 2 and n >= 3):
-        num = pe - num
-    return num * pow(den, -1, pe) % pe
-
-
-def _walk_agrees(e: PseudoExpansion, v: int) -> bool:
-    """Whether v, a block walk's valuation over e, is both the
-    segmentation's m and Kummer's borrow count, as ``_granville_unit``
-    checks its own count."""
-    return v == pseudo_valuation(e) == _borrows(e.a_digits, e.b_digits)
-
-
-def _pass_source(A: int, B: int, p: int, n: int) -> array | _Checkpoints | None:
-    """The unit factorials of (p, n) for ``_granville_unit``, or None where
-    the block walk is cheaper.
-
-    The pass costs what reading C(A, B) from checkpoints would: their
-    set-up when not built, plus three reads a digit.  If the loop takes
-    every block value of the walk, that costs under 4 min(B, A - B) steps:
-    a block's loop takes min(b, c) steps for its B and C = A - B digits,
-    and the blocks' B values sum to under 3 B, their C values to under 3 C.
-    As in ``exact_binom_mod``, no set-up over the budget is started.
-    """
-    if p**n <= _TABLE_BUDGET:
-        return _unit_factorials(p, n)
-    if (p, n) in _checkpoint_cache or (
-        _checkpoint_cost(0, p, n) <= _LOOP_BUDGET
-        and _checkpoint_cost(A, p, n) < 4 * min(B, A - B)
-    ):
-        return _checkpoints(p, n)
-    return None
 
 
 def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
@@ -598,8 +560,9 @@ def theorem_evaluate(
     converting or segmenting the rest.  Pass a precomputed ``expansion``
     to amortize decomposition across several N (it always takes the
     full path), and ``trace=False`` to skip building the factor table:
-    the unit then comes from ``_granville_unit``, or from the block walk
-    where ``_pass_source`` finds the unit factorials not worth building.
+    the unit then comes from one ``_granville`` pass over the digits, or
+    from the block walk where ``_source`` finds the unit factorials not
+    worth building.
     """
     _check_pair(A, B)
     ensure_prime(p)
@@ -614,13 +577,17 @@ def theorem_evaluate(
         tr = EvalTrace("theorem", p, N, 0, m, 1, 0, ()) if trace else None
         return 0, tr
     n = N - m
+    a, b = expansion.a_digits, expansion.b_digits
     factors = [] if trace else None
-    t = None if trace else _pass_source(A, B, p, n)
+    # The walk's loop takes under 4 min(B, A - B) steps: min(b, c) a block,
+    # where the blocks' B values sum to under 3 B and C values to under 3 C.
+    t = None if trace else _source(A, p, n, 4 * min(B, A - B))
     if t is None:
         v, unit = _walk(expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
-        assert _walk_agrees(expansion, v), "factor valuations disagree with the borrow count"
+        assert v == _borrows(a, b), "factor valuations disagree with the borrow count"
     else:
-        unit = _granville_unit(expansion, n, t)
+        v, unit = _granville(a, b, p, n, t)
+    assert v == m, "borrow count disagrees with the segmentation"
     residue = p**m * unit % p**N
     tr = EvalTrace("theorem", p, N, n, m, unit, residue, tuple(factors)) if trace else None
     return residue, tr

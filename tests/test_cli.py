@@ -381,6 +381,20 @@ class TestBoundaries:
         assert proc.stderr.startswith("error: modulus 3**20000000 has about ")
         assert "Traceback" not in proc.stderr
 
+    def test_bench_digits_bound(self):
+        # each trial segments the whole pair: 10**6 base-2 digits took 2.9 s
+        # a pair on a shared 2-core host, so --digits had no practical end
+        for p, digits in (("2", "2000000"), ("2305843009213693951", "100000")):
+            proc = run_module(
+                "bench", "--prime", p, "-N", "1", "--digits", digits, "--trials", "1",
+                timeout=2,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"error: --digits {digits} at p = {p} breaks digits * p.bit_length() <= 2**20\n"
+            )
+
     def test_oracle_cost_guard(self):
         # C(10^6, 5*10^5) has 3*10^5 digits, inside the size guard; the
         # oracle's loop ran for minutes before its cost guard.

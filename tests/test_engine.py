@@ -96,6 +96,16 @@ class TestVuArithmetic:
             davis_webb_evaluate(A8, B8, 3, 5, trace=False)
 
 
+def _long_blocks(rng, p, K=2000):
+    """Blocks of about K digits with min(b, a - b) < 3000: the borrow
+    through the K zero digits of p**K, the K digits p - 1 of p**K - 1,
+    and b far shorter than a."""
+    for a in (p**K, p**K - 1, rng.randrange(p ** (K - 1), p**K)):
+        for k in (0, rng.randrange(1, 3000)):
+            yield a, k
+            yield a, a - k
+
+
 class TestExactBinomMod:
     def test_two_borrow_block(self):
         # C(12120_3, 01202_3) = C(150, 47), divisible by 9
@@ -141,6 +151,10 @@ class TestExactBinomMod:
             b = rng.choice((k, a - k))
             t = engine._unit_factorials(p, e)
             assert engine._binom_levels(a, b, p, e, t) == engine._binom_loop(a, b, p, e)
+        for p, e in ((2, 14), (3, 8), (7, 4), (127, 2)):
+            t = engine._unit_factorials(p, e)
+            for a, b in _long_blocks(rng, p):
+                assert engine._binom_levels(a, b, p, e, t) == engine._binom_loop(a, b, p, e)
 
     def test_over_budget_builds_no_table(self):
         for a, b, p, e in ((1009**2 + 12345, 17, 1009, 2), (1000020, 1000010, 1000003, 1)):
@@ -231,6 +245,10 @@ class TestExactBinomMod:
             b = rng.choice((k, a - k))
             got = engine._binom_levels(a, b, p, e, engine._checkpoints(p, e))
             assert got == engine._binom_loop(a, b, p, e), (a, b, p, e)
+        for p, e in ((127, 3), (16411, 2), (65537, 1)):
+            for a, b in _long_blocks(rng, p):
+                got = engine._binom_levels(a, b, p, e, engine._checkpoints(p, e))
+                assert got == engine._binom_loop(a, b, p, e), (a, b, p, e)
 
     def test_path_choice_and_bounded_caches(self):
         engine._checkpoint_cache.clear()
