@@ -199,6 +199,12 @@ def run_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"--digits {digits} at p = {p} breaks digits * p.bit_length() <= 2**20")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.trials * digits * p.bit_length() > 2**22:
+        # about 20 us a trial on tiny pairs and 0.8-3 s on the largest
+        raise ValueError(
+            f"--trials {args.trials} of {digits} digits at p = {p} breaks "
+            "trials * digits * p.bit_length() <= 2**22"
+        )
     rng = random.Random(args.seed)
     lo = p ** (digits - 1)
     hi = p**digits

@@ -107,12 +107,13 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     come from a prefix table built once per (p, e).  Above that they come
     from checkpoints, built once per (p, e) with the last two kept: at
     e = 1, x! mod p at the multiples of the power of two v above
-    sqrt(p - 1), from shifted evaluation in about 0.8 v**1.5 loop steps;
-    at e >= 2, doubling polynomials.  The multiplicative formula
+    sqrt((p - 1)/2) up to (p - 1)/2, from shifted evaluation in at most
+    about v**1.75 / 16 loop steps, with Wilson's theorem for the upper
+    half; at e >= 2, doubling polynomials.  The multiplicative formula
     prod_{i=1..b} (a-b+i)/i, at min(b, a-b) steps, runs where it is
     estimated cheaper than their set-up plus reads (``_source``), as for
     tiny blocks at large e.  TooLarge is raised when the cheaper of the
-    two exceeds 2**22 steps; at e = 1 the checkpoints fit for p <= 2**28.
+    two exceeds 2**22 steps; at e = 1 the checkpoints fit for p < 2**29.
     """
     _check_pair(a, b)
     ensure_prime(p)
@@ -221,17 +222,22 @@ def _shift(vals: list[int], a: int, n: int, p: int, inv_fact: list[int]) -> list
 
 def _mark_step(p: int, e: int) -> int:
     """The spacing of the checkpoints of (p, e): at e = 1 the power of two
-    above sqrt(p - 1), which shifted evaluation doubles up to, else ceil(sqrt p)."""
-    return 1 << isqrt(p - 1).bit_length() if e == 1 else isqrt(p - 1) + 1
+    above sqrt((p - 1)/2), which shifted evaluation doubles up to, else
+    ceil(sqrt p)."""
+    return 1 << isqrt((p - 1) // 2).bit_length() if e == 1 else isqrt(p - 1) + 1
 
 
 def _factorial_marks(p: int, v: int) -> list[int]:
-    """(k v)! mod p for k v < p, where v = _mark_step(p, 1).
+    """(k v)! mod p for k = 0 .. K, where v = _mark_step(p, 1) and K v is
+    the multiple of v nearest (p - 1)/2, the last mark an e = 1 read takes.
 
     g_d(x) = prod_{i=1..d} (v x + i) has degree d, and (k v)! is the
     product of g_v(j) over j < k.  From g_d at 0..d, two shifts give g_d at
     d+1 .. 2d and at d/v + 0..2d, and g_2d(x) = g_d(x) g_d(x + d/v), so
-    log2(v) doublings reach g_v at 0..v (Bostan, Gaudry and Schost 2007).
+    log2(v) doublings reach g_v (Bostan, Gaudry and Schost 2007).  The
+    last doubling, from d = v/2, is cut to the K <= v values g_v(0 .. K-1)
+    the marks use: one shift to d/v + 0..K-1, and one to d+1 .. K-1 only
+    when K > d + 1.
     No shift divides by 0 mod p: the first shift's points are 1 .. 2d,
     at most v < p, and the second's are d/v + s with -d <= s <= 2d, where
     d/v + s = 0 would make p divide 1 + s v / d, an odd integer of size
@@ -242,14 +248,16 @@ def _factorial_marks(p: int, v: int) -> list[int]:
     for i in range(v // 2, 1, -1):
         inv_fact[i - 1] = inv_fact[i] * i % p
     inv_v = pow(v, -1, p)
+    last = ((p - 1) // 2 + v // 2) // v
     g, d = [1, v + 1], 1
     while d < v:
-        lo = g + _shift(g, d + 1, d, p, inv_fact)
-        g = [x * y % p for x, y in zip(lo, _shift(g, d * inv_v % p, 2 * d + 1, p, inv_fact))]
+        n = 2 * d + 1 if 2 * d < v else last
+        lo = g + _shift(g, d + 1, n - d - 1, p, inv_fact) if n > d + 1 else g
+        g = [x * y % p for x, y in zip(lo, _shift(g, d * inv_v % p, n, p, inv_fact))]
         d *= 2
     marks = [1]
-    for j in range((p - 1) // v):
-        marks.append(marks[-1] * g[j] % p)
+    for x in g:
+        marks.append(marks[-1] * x % p)
     return marks
 
 
@@ -266,10 +274,14 @@ class _Checkpoints:
     runs are H_k(p o) over the set bits k of q, o being the part of q
     above bit k.  At e >= 2 the step is ceil(sqrt p), set-up takes
     O(p e + e**3 log p) operations and a read O(e**2 log p + sqrt p).
-    At e = 1 every P_r is a constant (r! mod p), q is 0, and the step v
-    is the power of two above sqrt(p - 1), under 2 sqrt(p): the marks
-    come from ``_factorial_marks`` in O(sqrt(p) log p) operations on
-    residues, carried by big-int products, and a read takes fewer than v.
+    At e = 1 every P_r is a constant (r! mod p) and q is 0.  The marks
+    stop near (p - 1)/2, for Wilson's theorem gives x! = (-1)**(x+1) /
+    (p - 1 - x)! mod p, so the step v is the power of two above
+    sqrt((p - 1)/2), under sqrt(2 p).  They come from ``_factorial_marks``
+    in O(sqrt(p) log p) operations on residues, carried by big-int
+    products, and a read finishes from the nearer mark, dividing by the
+    run up to it when it lies above, in at most v/2 products and one
+    inverse.
     """
 
     __slots__ = ("p", "e", "m", "step", "marks", "h")
@@ -278,7 +290,7 @@ class _Checkpoints:
         m = p**e
         step = _mark_step(p, e)
         if e == 1:
-            marks, h = _factorial_marks(p, step), [[p - 1]]  # Wilson; h is unread at e = 1
+            marks, h = _factorial_marks(p, step), []
         else:
             poly = [1] + [0] * (e - 1)
             marks = list(poly)  # flat: the e coefficients of each kept P_r in turn
@@ -299,6 +311,15 @@ class _Checkpoints:
 
     def __getitem__(self, x: int) -> int:
         p, e, m = self.p, self.e, self.m
+        if e == 1:
+            y = min(x, p - 1 - x)
+            i = (y + self.step // 2) // self.step
+            top = i * self.step
+            num = _prod_mod(top + 1, y + 1, p, self.marks[i])
+            den = _prod_mod(y + 1, top + 1, p, 1)
+            if y < x:
+                num, den = den if x & 1 else p - den, num
+            return num * pow(den, -1, p) % p
         q, r = divmod(x, p)
         i = r // self.step
         qp = q * p
@@ -314,8 +335,8 @@ class _Checkpoints:
 
 # Checkpoint sources, least recently used first.  A block walk reads one
 # (p, e) throughout; two keep both widths of a call warm.  The set-up
-# budget bounds each: at e = 1, v <= 2**14, so p <= 2**28 and at most
-# 2**14 marks.
+# budget bounds each: at e = 1, v <= 2**14, so p < 2**29 and at most
+# 2**14 + 1 marks.
 _CHECKPOINTS_KEPT = 2
 _checkpoint_cache: dict[tuple[int, int], _Checkpoints] = {}
 
@@ -334,19 +355,24 @@ def _checkpoint_cost(a: int, p: int, e: int) -> int:
     """Estimated loop steps for one block with A value a read from the
     checkpoints of (p, e), plus their set-up when not built.
 
-    The Granville pass takes three reads a base-p digit of a, and a read
-    about bits / 2 Horner evaluations of e terms plus half a step of
-    products.  The weights were fitted on CPython 3.11, where
-    a loop step takes about 0.4 us and a factor inside ``math.prod`` a
-    third of one.  The e = 1 set-up, 0.8 v**1.5 + 14 v steps at step v,
-    covers set-ups timed at v = 2**8 .. 2**14 (1.7 ms .. 0.66 s): the
-    per-residue work leads at small v and the big-int products at large.
+    The Granville pass takes three reads a base-p digit of a.  At e >= 2
+    a read takes about bits / 2 Horner evaluations of e terms plus half a
+    step of products, at e = 1 a quarter step of products and an inverse.
+    The weights were fitted on CPython 3.11, where a loop step takes
+    about 0.4 us and a factor inside ``math.prod`` a quarter to a third of
+    one.  The e = 1 set-up, v**1.75 / 16 + 22 v steps at step v, fits
+    within 10% the slowest set-up of each step (p just under 2 v**2),
+    timed at v = 2**7 .. 2**15 (1.3 ms .. 2.2 s); set-ups at the low end
+    of a step, with half the marks and no extra shift, take about 0.55 of
+    that.
     """
     width = (p - 1).bit_length()
     bits = (e - 1) * width
     step = _mark_step(p, e)
-    setup = step * (4 * isqrt(step) // 5 + 14) if e == 1 else 2 * p * e + bits * e * e
-    read = step // 6 + 30 + bits * e // 2
+    if e == 1:
+        setup, read = step * (isqrt(step) * isqrt(isqrt(step)) // 16 + 22), step // 16 + 10
+    else:
+        setup, read = 2 * p * e + bits * e * e, step // 6 + 30 + bits * e // 2
     reads = 3 * (a.bit_length() // width + 1)
     return reads * read + (0 if (p, e) in _checkpoint_cache else setup)
 

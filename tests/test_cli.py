@@ -395,6 +395,21 @@ class TestBoundaries:
                 f"error: --digits {digits} at p = {p} breaks digits * p.bit_length() <= 2**20\n"
             )
 
+    def test_bench_trials_bound(self):
+        # --trials had no cap: 100000 trials of 500000 base-2 digits would
+        # have run for about a day
+        for p, digits, trials in (("2", "500000", "100000"), ("2", "1", str(2**21 + 1))):
+            proc = run_module(
+                "bench", "--prime", p, "-N", "1", "--digits", digits, "--trials", trials,
+                timeout=2,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == (
+                f"error: --trials {trials} of {digits} digits at p = {p} breaks "
+                "trials * digits * p.bit_length() <= 2**22\n"
+            )
+
     def test_oracle_cost_guard(self):
         # C(10^6, 5*10^5) has 3*10^5 digits, inside the size guard; the
         # oracle's loop ran for minutes before its cost guard.

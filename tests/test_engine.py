@@ -174,7 +174,7 @@ class TestExactBinomMod:
         assert engine._unit_factorials.cache_info().misses == 10
 
     def test_over_loop_budget_raises(self):
-        # checkpoints for p = 10**9 + 7 (v = 2**15) would take about 5 * 10**6
+        # checkpoints for p = 10**9 + 7 (v = 2**15) would take about 5.5 * 10**6
         # steps to set up
         with pytest.raises(TooLarge, match="loop steps"):
             exact_binom_mod(999999999, 500000000, 1000000007, 1)
@@ -217,20 +217,39 @@ class TestExactBinomMod:
 
     def test_factorial_marks_against_prefix_products(self):
         # Each mark (k v)! mod p from shifted evaluation against the linear
-        # sweep: chunked prefix products, 64 factors a chunk.
+        # sweep: chunked prefix products, 64 factors a chunk.  The marks
+        # stop at K v, the multiple of v nearest (p - 1)/2.
         above = range(2**14 + 1, 2**14 + 2000)
         primes = [n for n in above if all(n % d for d in range(2, math.isqrt(n) + 1))]
         for p in primes + [65537, 999983, 1000003]:
             source = engine._Checkpoints(p, 1)
-            v = source.step
-            assert v & (v - 1) == 0 and v * v // 4 < p <= v * v
+            v, half = source.step, (p - 1) // 2
+            assert v & (v - 1) == 0 and v * v // 4 < half <= v * v
+            K = (half + v // 2) // v
+            assert abs(half - K * v) <= v // 2
             want, acc = [1], 1
-            for top in range(v, p, v):
+            for top in range(v, K * v + 1, v):
                 for j in range(top - v + 1, top + 1, 64):
                     acc = acc * math.prod(range(j, min(j + 64, top + 1))) % p
                 want.append(acc)
+            assert len(want) == K + 1
             assert source.marks == want, p
             assert source[p - 1] == p - 1, p  # Wilson
+
+    @pytest.mark.parametrize("p", [16411, 65537, 84011])
+    def test_e1_reads_every_x_against_prefix_products(self, p):
+        # Reads up to (p - 1)/2 finish from the nearer mark; above it they
+        # reflect through Wilson.  Every x < p is checked, so both sides
+        # and x = (p - 1)/2, (p + 1)/2 and p - 1.  84011 (v = 256, K = 164)
+        # runs the last doubling's extra shift, 16411 and 65537 do not.
+        source = engine._Checkpoints(p, 1)
+        assert (len(source.marks) - 1 > source.step // 2 + 1) == (p == 84011)
+        want, acc = [1], 1
+        for x in range(1, p):
+            acc = acc * x % p
+            want.append(acc)
+        bad = [x for x in range(p) if source[x] != want[x]]
+        assert not bad, (p, bad[:5])
 
     def test_checkpoints_against_loop(self):
         # 3000 seeded blocks, grouped by (p, e) so each source is built once

@@ -30,7 +30,7 @@ import baseline  # noqa: E402
 
 SEEDS = (1, 2)
 PAIRS = 10
-TRACED = ("low_valuation",)
+TRACED = ("low_valuation", "large_prime")
 TRACED_PAIRS = 3
 
 
