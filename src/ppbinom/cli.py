@@ -195,7 +195,8 @@ def run_bench(args: argparse.Namespace) -> int:
     if digits < 1:
         raise ValueError("--digits must be >= 1")
     if digits * p.bit_length() > 2**20:
-        # each trial segments the whole pair, in time quadratic in its size
+        # radix conversion stays superlinear: at 2**20 bits a trial takes
+        # 0.6-2.4 s, nearly all of it converting A and B to base p
         raise ValueError(f"--digits {digits} at p = {p} breaks digits * p.bit_length() <= 2**20")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
@@ -230,7 +231,7 @@ def run_bench(args: argparse.Namespace) -> int:
         lengths.update(bounds[i + 1] - bounds[i] for i in range(e.num_pairs))
         try:
             oracle_checked += 1
-            oracle_agreed += oracle.binom_exact(A, B) % p**N == res
+            oracle_agreed += oracle.binom_exact(A, B, share=args.trials) % p**N == res
         except TooLarge:
             oracle_checked -= 1
             oracle_skips += 1
@@ -242,7 +243,7 @@ def run_bench(args: argparse.Namespace) -> int:
     if oracle_checked:
         print(f"oracle: agreed {oracle_agreed}/{oracle_checked}")
     if oracle_skips:
-        print(f"oracle: skipped {oracle_skips} (over the oracle's size or cost guard)")
+        print(f"oracle: skipped {oracle_skips} (over the oracle's size or shared cost guard)")
     dist = " ".join(f"{k}:{v}" for k, v in sorted(lengths.items()))
     print(f"pseudo-digit lengths: {dist}")
     return 0 if oracle_agreed == oracle_checked else 1

@@ -54,12 +54,13 @@ def _result_digits_estimate(a: int, b: int) -> int:
         return k * digits_a
 
 
-def binom_exact(a: int, b: int) -> int:
+def binom_exact(a: int, b: int, share: int = 1) -> int:
     """Exact C(a, b) by the multiplicative formula, one exact division per step.
 
     Refuses (TooLarge) when the result would exceed _MAX_DIGITS decimal
-    digits, or when the loop would take over _COST_GUARD digit steps;
-    the guards keep this a desk-scale tool.
+    digits, or when the loop would take over _COST_GUARD / share digit
+    steps; the guards keep this a desk-scale tool, and a caller checking
+    ``share`` pairs keeps them all within one cost guard.
     """
     _check_pair(a, b)
     estimate = _result_digits_estimate(a, b)
@@ -69,10 +70,10 @@ def binom_exact(a: int, b: int) -> int:
             f"{describe_int(estimate)} digits, over the {_MAX_DIGITS} digit guard"
         )
     cost = min(b, a - b) * estimate
-    if cost > _COST_GUARD:
+    if cost * share > _COST_GUARD:
         raise TooLarge(
             f"C({describe_int(a)}, {describe_int(b)}) would take about "
-            f"{describe_int(cost)} digit steps, over the {_COST_GUARD} step guard"
+            f"{describe_int(cost)} digit steps, over the {_COST_GUARD // share} step guard"
         )
     if b > a - b:
         b = a - b

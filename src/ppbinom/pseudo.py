@@ -2,11 +2,15 @@
 
 Digits of the two numbers are grouped from the low end: a group keeps
 growing until the grouped value on the A side is >= the grouped value on
-the B side, so every proper low prefix of a multi-digit group fails that
-test.  The grouping depends on the pair, not on either number alone.
-The count (total digits) - (number of groups) equals the p-adic valuation
-of C(A, B), which makes the groups the natural unit for prime-power
-congruences.
+the B side, so the grouping depends on the pair, not on either number.
+Groups end exactly after the digits where A - B does not borrow:
+nothing borrows into a group's low digit lo, so for i >= lo,
+(A mod p**(i+1)) - (B mod p**(i+1)) is p**lo times the A-side minus the
+B-side value of digits lo..i, plus a part in [0, p**lo): negative, a
+borrow out of digit i, exactly when the A-side value is the smaller.
+The groups are Kummer's borrow chains, and (total digits) - (number of
+groups), the borrow count, is the p-adic valuation of C(A, B), which
+makes the groups the natural unit for prime-power congruences.
 """
 
 from __future__ import annotations
@@ -61,9 +65,9 @@ class PseudoExpansion:
 def decompose(A: int, B: int, p: int) -> PseudoExpansion:
     """Segment the pair (A, B) into pseudo-digits, least significant first.
 
-    Grows each group one digit at a time until the A-side group value is
-    >= the B-side group value, then starts the next group.  Raises
-    OrderViolation when A < B.
+    One borrow pass over the digits ends a group after each digit where
+    A - B does not borrow, which is the value rule (see the module
+    docstring).  Raises OrderViolation when A < B.
     """
     if A < 0 or B < 0:
         raise ValueError("naturals are nonnegative")
@@ -78,23 +82,13 @@ def decompose(A: int, B: int, p: int) -> PseudoExpansion:
     if len(db) < total:
         db = db + (0,) * (total - len(db))
     bounds = [0]
-    i = 0
-    while i < total:
-        av = bv = 0
-        w = 1
-        c = 0
-        while True:
-            av += da[i + c] * w
-            bv += db[i + c] * w
-            w *= p
-            c += 1
-            if av >= bv:
-                break
-            # A >= B guarantees the test passes before the digits run out,
-            # so a group never needs more digits than A has left.
-            assert i + c < total, "pseudo-digit group ran past the available digits"
-        i += c
-        bounds.append(i)
+    borrow = False
+    for i, (x, y) in enumerate(zip(da, db), 1):
+        borrow = x - y - borrow < 0
+        if not borrow:
+            bounds.append(i)
+    # A >= B: the top digit never borrows, so the last group ends at the top.
+    assert not borrow, "pseudo-digit group ran past the available digits"
     return PseudoExpansion(p, da, db, tuple(bounds))
 
 

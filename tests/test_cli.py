@@ -382,8 +382,9 @@ class TestBoundaries:
         assert "Traceback" not in proc.stderr
 
     def test_bench_digits_bound(self):
-        # each trial segments the whole pair: 10**6 base-2 digits took 2.9 s
-        # a pair on a shared 2-core host, so --digits had no practical end
+        # radix conversion stays superlinear: at the bound's 2**20 bits a
+        # trial took 0.6-2.4 s on a shared 2-core host, nearly all of it
+        # converting A and B, so --digits had no practical end
         for p, digits in (("2", "2000000"), ("2305843009213693951", "100000")):
             proc = run_module(
                 "bench", "--prime", p, "-N", "1", "--digits", digits, "--trials", "1",
@@ -409,6 +410,32 @@ class TestBoundaries:
                 f"error: --trials {trials} of {digits} digits at p = {p} breaks "
                 "trials * digits * p.bit_length() <= 2**22\n"
             )
+
+    def test_bench_oracle_shares_its_cost_guard(self):
+        # each trial's oracle check could take up to about a second: 200
+        # trials of 12 base-3 digits took 12.8 s, so 2000 about 2 minutes
+        proc = run_module(
+            "bench", "--prime", "3", "-N", "3", "--digits", "12", "--trials", "2000",
+            timeout=10,
+        )
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines()
+        (agreed,) = [line for line in lines if line.startswith("oracle: agreed ")]
+        (skipped,) = [line for line in lines if line.startswith("oracle: skipped ")]
+        ok, checked = map(int, agreed.split()[2].split("/"))
+        assert ok == checked
+        assert checked + int(skipped.split()[2]) == 2000
+
+    def test_one_long_group(self):
+        # one group of 655001 binary digits: growing the group's values as
+        # big ints took 6.7-7.7 s a command
+        pair = ("--prime", "2", "--radix", "32", "1" + "0" * 131000, "1")
+        proc = run_module("decompose", *pair, timeout=2)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-2:] == ["pseudo-digits = 1", "m = 655000"]
+        proc = run_module("eval", "-N", "4", "--trace", *pair, timeout=2)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "method=theorem p=2 N=4 (m=655000, n=0)"
 
     def test_oracle_cost_guard(self):
         # C(10^6, 5*10^5) has 3*10^5 digits, inside the size guard; the

@@ -97,19 +97,22 @@ class TestDecompose:
                 assert joined_b == e.b_digits
 
     def test_pair_local_law_small_sweep(self):
-        # full values a >= b, every proper low prefix a < b
-        for p in (2, 3, 5):
-            for a in range(120):
-                for b in range(a + 1):
-                    e = decompose(a, b, p)
-                    for i in range(e.num_pairs):
-                        ga, gb = block(e, i, 1)
-                        va, vb = ga.value, gb.value
-                        assert va >= vb
-                        w = 1
-                        for j in range(len(ga) - 1):
-                            w *= p
-                            assert va % w < vb % w
+        # full values a >= b, every proper low prefix a < b.  p = 41 is past
+        # base-36 text; A = p**k + r, B = r + 1 gives groups of up to k + 1
+        # digits (one group when r = 0).
+        primes = (2, 3, 5, 7, 41)
+        pairs = [(p, a, b) for p in primes for a in range(120) for b in range(a + 1)]
+        pairs += [(p, p**k + r, r + 1) for p in primes for k in range(1, 40) for r in range(p + 2)]
+        for p, a, b in pairs:
+            e = decompose(a, b, p)
+            for i in range(e.num_pairs):
+                ga, gb = block(e, i, 1)
+                va, vb = ga.value, gb.value
+                assert va >= vb
+                w = 1
+                for j in range(len(ga) - 1):
+                    w *= p
+                    assert va % w < vb % w
 
     def test_pair_accessor_beyond_top_is_zero(self):
         # block(e, i, 1) reads group i; above the top it is one zero digit
