@@ -111,28 +111,28 @@ def _parse_inputs(args: argparse.Namespace) -> tuple[int, int]:
     return parse_natural(args.A, args.radix), parse_natural(args.B, args.radix)
 
 
-def _exact_or_skip(A: int, B: int, modulus: int) -> int | None:
-    """The oracle's C(A, B) mod modulus, or None after printing why the
-    oracle was skipped (over its size or cost guard)."""
-    try:
-        return oracle.binom_exact(A, B) % modulus
-    except TooLarge as exc:
-        print(f"exact: skipped ({exc})")
-        return None
-
-
-def _eval_one(args: argparse.Namespace, method: str, A: int, B: int, want_trace: bool):
-    """(residue, modulus, trace-or-None) for a single method."""
+def _results(args: argparse.Namespace, methods: tuple[str, ...], A: int, B: int, want_trace: bool):
+    """Yield (method, residue, modulus, trace-or-None) for each method in
+    turn.  Among several methods, an oracle over its size or cost guard
+    prints why it was skipped and yields nothing."""
     p, N = args.prime, args.mod_exp
-    if method == "theorem":
-        res, tr = engine.theorem_evaluate(A, B, p, N, trace=want_trace)
-        return res, p**N, tr
-    if method == "davis-webb":
-        res, tr = engine.davis_webb_evaluate(A, B, p, N, trace=want_trace)
-        return res, p**N, tr
-    if method == "lucas":
-        return engine.lucas_evaluate(A, B, p), p, None
-    return oracle.binom_exact(A, B) % p**N, p**N, None
+    for method in methods:
+        modulus, tr = p**N, None
+        if method == "theorem":
+            res, tr = engine.theorem_evaluate(A, B, p, N, trace=want_trace)
+        elif method == "davis-webb":
+            res, tr = engine.davis_webb_evaluate(A, B, p, N, trace=want_trace)
+        elif method == "lucas":
+            res, modulus = engine.lucas_evaluate(A, B, p), p
+        else:
+            try:
+                res = oracle.binom_exact(A, B) % modulus
+            except TooLarge as exc:
+                if len(methods) == 1:
+                    raise
+                print(f"exact: skipped ({exc})")
+                continue
+        yield method, res, modulus, tr
 
 
 def run_eval(args: argparse.Namespace) -> int:
@@ -140,14 +140,8 @@ def run_eval(args: argparse.Namespace) -> int:
     methods = ("theorem", "davis-webb", "lucas", "exact") if args.method == "all" else (args.method,)
     if args.format == "records" and len(methods) > 1:
         raise ValueError("records format requires a single method")
-    for method in methods:
-        if method == "exact" and len(methods) > 1:
-            res = _exact_or_skip(A, B, args.prime**args.mod_exp)
-            if res is not None:
-                print(f"exact: {res} (mod {args.prime**args.mod_exp})")
-            continue
-        want_trace = args.trace or args.format == "records"
-        res, modulus, tr = _eval_one(args, method, A, B, want_trace)
+    want_trace = args.trace or args.format == "records"
+    for method, res, modulus, tr in _results(args, methods, A, B, want_trace):
         if args.format == "records":
             if tr is None:
                 print(f"result={res} modulus={modulus}")
@@ -173,17 +167,11 @@ def run_decompose(args: argparse.Namespace) -> int:
 
 def run_compare(args: argparse.Namespace) -> int:
     A, B = _parse_inputs(args)
-    p, N = args.prime, args.mod_exp
-    modulus = p**N
-    results = {}
-    results["theorem"] = engine.theorem_evaluate(A, B, p, N, trace=False)[0]
-    results["davis-webb"] = engine.davis_webb_evaluate(A, B, p, N, trace=False)[0]
-    exact = _exact_or_skip(A, B, modulus)
-    if exact is not None:
-        results["exact"] = exact
-    for name, res in results.items():
-        print(f"{name}: {res} (mod {modulus})")
-    if len(set(results.values())) == 1:
+    # collected before printing, so a skipped oracle's line comes first
+    results = list(_results(args, ("theorem", "davis-webb", "exact"), A, B, False))
+    for method, res, modulus, _ in results:
+        print(f"{method}: {res} (mod {modulus})")
+    if len({res for _, res, _, _ in results}) == 1:
         print("AGREE")
         return 0
     print("DISAGREE")
@@ -213,7 +201,6 @@ def run_bench(args: argparse.Namespace) -> int:
     total = 0.0
     slowest = 0.0
     lengths: Counter[int] = Counter()
-    oracle_checked = 0
     oracle_agreed = 0
     oracle_skips = 0
     for _ in range(args.trials):
@@ -230,11 +217,10 @@ def run_bench(args: argparse.Namespace) -> int:
         bounds = e.bounds
         lengths.update(bounds[i + 1] - bounds[i] for i in range(e.num_pairs))
         try:
-            oracle_checked += 1
             oracle_agreed += oracle.binom_exact(A, B, share=args.trials) % p**N == res
         except TooLarge:
-            oracle_checked -= 1
             oracle_skips += 1
+    oracle_checked = args.trials - oracle_skips
     mean_ms = total / args.trials * 1000
     print(
         f"theorem: total {total:.3f}s, mean {mean_ms:.3f} ms/pair, "

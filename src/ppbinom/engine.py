@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 
-from .digits import DigitString, _borrows, _digits_of, ensure_prime
+from .digits import DigitString, _borrows, _digit_pair, _digits_of, ensure_prime
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
 from .pseudo import PseudoExpansion, block, decompose, pseudo_valuation
 
@@ -122,7 +122,7 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     steps = min(b, a - b)
     t = _source(a, p, e, min(steps, _LOOP_BUDGET + 1))
     if t is not None:
-        return _binom_levels(a, b, p, e, t)
+        return _granville(*_digit_pair(a, b, p), p, e, t)
     if steps > _LOOP_BUDGET:
         raise TooLarge(
             f"C({describe_int(a)}, {describe_int(b)}) mod {describe_int(p)}**{e} "
@@ -432,11 +432,6 @@ def _granville(
     return low + high, num * pow(den, -1, pe) % pe
 
 
-def _binom_levels(a: int, b: int, p: int, e: int, t: array | _Checkpoints) -> tuple[int, int]:
-    ad, bd = _digits_of(a, p), _digits_of(b, p)
-    return _granville(ad, bd + (0,) * (len(ad) - len(bd)), p, e, t)
-
-
 @lru_cache(maxsize=1 << 18)
 def _binom_vu(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     # Block binomials repeat heavily across sweeps.
@@ -679,12 +674,8 @@ def davis_webb_evaluate(
         raise ValueError("modulus exponent N must be >= 1")
     if not trace and _low_borrows_reach(A, B, p, N):
         return 0, None
-    adig = _digits_of(A, p)
-    L = max(len(adig), N)
-    a = adig + (0,) * (L - len(adig))
-    bdig = _digits_of(B, p)
-    b = bdig + (0,) * (L - len(bdig))
-    e = PseudoExpansion(p, a, b, tuple(range(L + 1)))
+    a, b = _digit_pair(A, B, p, N)
+    e = PseudoExpansion(p, a, b, tuple(range(len(a) + 1)))
     factors = [] if trace else None
     m, unit = _walk(e, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
     if m < 0:

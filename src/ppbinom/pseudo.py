@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digits import DigitString, _digits_of, _text, ensure_prime
-from .errors import EmptyBlock, OrderViolation, describe_int
+from .digits import DigitString, _digit_pair, _text, ensure_prime
+from .errors import EmptyBlock, _check_pair
 
 __all__ = [
     "PseudoExpansion",
@@ -69,18 +69,9 @@ def decompose(A: int, B: int, p: int) -> PseudoExpansion:
     A - B does not borrow, which is the value rule (see the module
     docstring).  Raises OrderViolation when A < B.
     """
-    if A < 0 or B < 0:
-        raise ValueError("naturals are nonnegative")
-    if A < B:
-        raise OrderViolation(
-            f"need A >= B, got A={describe_int(A)} < B={describe_int(B)}"
-        )
+    _check_pair(A, B)
     ensure_prime(p)
-    da = _digits_of(A, p)
-    total = len(da)
-    db = _digits_of(B, p)
-    if len(db) < total:
-        db = db + (0,) * (total - len(db))
+    da, db = _digit_pair(A, B, p)
     bounds = [0]
     borrow = False
     for i, (x, y) in enumerate(zip(da, db), 1):

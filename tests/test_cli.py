@@ -540,9 +540,11 @@ class TestErrors:
         assert "not prime" in err
 
     def test_order_violation(self, capsys):
-        code, _, err = run(capsys, "eval", "--prime", "3", "12", "21")
-        assert code == 2
-        assert "a=5 < b=7" in err
+        # every command that reads a pair reports A < B in the same words
+        for command in ("eval", "decompose"):
+            code, _, err = run(capsys, command, "--prime", "3", "12", "21")
+            assert code == 2
+            assert err == "error: need a >= b, got a=5 < b=7\n"
 
     def test_invalid_digit_for_radix(self, capsys):
         code, _, err = run(capsys, "eval", "--prime", "3", "141", "12")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ppbinom import cli, engine
-from ppbinom.digits import parse_natural
+from ppbinom.digits import _digit_pair, parse_natural
 from ppbinom.engine import (
     ValuedUnit,
     _dw_bracket,
@@ -35,6 +35,12 @@ def split_p(c, p, pe):
         c //= p
         v += 1
     return v, c % pe
+
+
+def granville(a, b, p, e, t):
+    """(v, unit) of C(a, b) from the Granville pass over a's and b's
+    padded digits, reading unit factorials from t."""
+    return engine._granville(*_digit_pair(a, b, p), p, e, t)
 
 
 def xgcd(a, b):
@@ -150,11 +156,11 @@ class TestExactBinomMod:
             k = rng.randrange(min(a, 3000) + 1)
             b = rng.choice((k, a - k))
             t = engine._unit_factorials(p, e)
-            assert engine._binom_levels(a, b, p, e, t) == engine._binom_loop(a, b, p, e)
+            assert granville(a, b, p, e, t) == engine._binom_loop(a, b, p, e)
         for p, e in ((2, 14), (3, 8), (7, 4), (127, 2)):
             t = engine._unit_factorials(p, e)
             for a, b in _long_blocks(rng, p):
-                assert engine._binom_levels(a, b, p, e, t) == engine._binom_loop(a, b, p, e)
+                assert granville(a, b, p, e, t) == engine._binom_loop(a, b, p, e)
 
     def test_over_budget_builds_no_table(self):
         for a, b, p, e in ((1009**2 + 12345, 17, 1009, 2), (1000020, 1000010, 1000003, 1)):
@@ -200,7 +206,7 @@ class TestExactBinomMod:
         t = [source[x] for x in range(300)]
         for a in range(300):
             for b in range(a + 1):
-                assert engine._binom_levels(a, b, p, e, t) == split_p(math.comb(a, b), p, pe)
+                assert granville(a, b, p, e, t) == split_p(math.comb(a, b), p, pe)
 
     def test_checkpoint_reads_against_prefix_products(self):
         rng = random.Random(11)
@@ -262,11 +268,11 @@ class TestExactBinomMod:
             # Keep min(b, a - b) small so the loop stays cheap.
             k = rng.randrange(min(a, 3000) + 1)
             b = rng.choice((k, a - k))
-            got = engine._binom_levels(a, b, p, e, engine._checkpoints(p, e))
+            got = granville(a, b, p, e, engine._checkpoints(p, e))
             assert got == engine._binom_loop(a, b, p, e), (a, b, p, e)
         for p, e in ((127, 3), (16411, 2), (65537, 1)):
             for a, b in _long_blocks(rng, p):
-                got = engine._binom_levels(a, b, p, e, engine._checkpoints(p, e))
+                got = granville(a, b, p, e, engine._checkpoints(p, e))
                 assert got == engine._binom_loop(a, b, p, e), (a, b, p, e)
 
     def test_path_choice_and_bounded_caches(self):
@@ -282,7 +288,7 @@ class TestExactBinomMod:
             (2**21 + 77, 2**20, 2, 20), (3**14, 3**13, 3, 10),
             (16411**2 - 5, 10**6, 16411, 2),
         ):
-            assert exact_binom_mod(a, b, p, e) == engine._binom_levels(
+            assert exact_binom_mod(a, b, p, e) == granville(
                 a, b, p, e, engine._Checkpoints(p, e)
             )
             assert (p, e) in engine._checkpoint_cache
@@ -600,6 +606,7 @@ def decompose_calls(monkeypatch):
 
     monkeypatch.setattr(engine, "decompose", recording)
     monkeypatch.setattr(engine, "_digits_of", no_conversion)
+    monkeypatch.setattr(engine, "_digit_pair", no_conversion)
     return calls
 
 

@@ -13,7 +13,8 @@ in odd ones.  Then TRACED_PAIRS traced pairs of each TRACED workload give
 the per-layer times.  For each metric the file holds both sides'
 ``bench/baseline.py`` summary (values, median, spread), how many pairs
 the change read better (ties count for neither side) and the ratio of
-the medians, change over parent.
+the medians, change over parent.  ``source_lines`` records each
+checkout's ``wc -l src/ppbinom/*.py`` total next to the metrics.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def one_run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     result = json.loads(out.stdout.strip().splitlines()[-1])
     print(checkout, workload, seed, trace, result["correct"], result["failed"], file=sys.stderr)
     return result
+
+
+def source_lines(checkout: Path) -> int:
+    # wc -l counts newlines
+    return sum(f.read_bytes().count(b"\n") for f in (checkout / "src" / "ppbinom").glob("*.py"))
 
 
 def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
@@ -87,6 +93,7 @@ def main() -> int:
                 "times are bench/run.py's probe-scaled figures",
         "command": " ".join(["python3", "tools/bench_pairs.py", "--parent", "PARENT_CHECKOUT",
                              "--change", ".", "--topic", repr(args.topic), "--out", args.out.name]),
+        "source_lines": {side: source_lines(path) for side, path in checkouts.items()},
         "end_to_end": {}, "per_layer_traced": {}, "failed_ops": {},
     }
     names = [w["name"] for w in spec["workloads"]]
