@@ -25,12 +25,12 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from math import isqrt, prod
 
-from .digits import DigitString, _borrows, _digit_pair, _digits_of, ensure_prime
+from .digits import DigitString, _borrows, _digit_pair, _digits_of, _text, ensure_prime
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
-from .pseudo import PseudoExpansion, block, decompose, pseudo_valuation
+from .pseudo import PseudoExpansion, decompose, pseudo_valuation
 
 __all__ = [
     "ValuedUnit",
@@ -490,14 +490,20 @@ def _walk(
     its (valuation, unit) pair.  The values roll: the denominator at i is
     the running value cut to the digits of its groups, and the numerator
     folds group i's digits in below it.  Units are accumulated apart and divided once;
-    given a list, the walk appends one Factor per position, with digit
-    windows from ``block``.  Traces, Davis-Webb and the untraced theorem
-    where its unit factorials are not worth their set-up (``_source``)
-    take this walk.
+    given a list, the walk appends one Factor per position.  Its digit
+    windows, ``block(e, i, width)`` and ``block(e, i + 1, width - 1)``,
+    are sliced from the walk's own offsets, and each distinct digit tuple
+    becomes one DigitString shared by every factor that shows it.  Traces,
+    Davis-Webb and the untraced theorem where its unit factorials are not
+    worth their set-up (``_source``) take this walk.
     """
     p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
     pe = p**width
     top = max(len(bounds) - 1 - width, 0)
+    # zero groups above the top: only where the expansion is shorter than width
+    pad = (0,) * (width - (len(bounds) - 1 - top))
+    # One DigitString per distinct digit tuple, for this walk only.
+    window = cache(partial(DigitString, base=p))
     # hi: the digit offset above group i; k: the denominator's digit count.
     hi = bounds[-1]
     av = bv = k = v = 0
@@ -524,10 +530,11 @@ def _walk(
             v -= dv
             den = den * du % pe
         if factors is not None:
-            na, nb = block(e, i, width)
+            end = lo + g + k  # the digit offset above the numerator's real groups
+            na, nb = window(a[lo:end] + pad), window(b[lo:end] + pad)
             nvu = _vu(p, nv, nu, width)
             if has_den:
-                da, db = block(e, i + 1, width - 1)
+                da, db = window(a[end - k : end]), window(b[end - k : end])
                 q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
                 factors.append(Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, width), q))
             else:
@@ -685,11 +692,13 @@ def davis_webb_evaluate(
     return residue, tr
 
 
-def _factor_sides(f: Factor, method: str) -> tuple[str, str]:
-    wrap = "<{}/{}>" if method == "davis-webb" else "C({}/{})"
-    num = wrap.format(f.num_a, f.num_b)
-    den = wrap.format(f.den_a, f.den_b) if f.den_a is not None else ""
-    return num, den
+def _sides(f: Factor, text: Callable[[tuple[int, ...]], str]) -> tuple[str, str | None]:
+    """The "a/b" texts of f's numerator and denominator windows (None
+    without one), each window's digits read through ``text``."""
+    num = f"{text(f.num_a.digits)}/{text(f.num_b.digits)}"
+    if f.den_a is None:
+        return num, None
+    return num, f"{text(f.den_a.digits)}/{text(f.den_b.digits)}"
 
 
 def format_trace_text(trace: EvalTrace) -> str:
@@ -699,9 +708,11 @@ def format_trace_text(trace: EvalTrace) -> str:
     if not trace.factors:
         lines.append(f"  {p}^{trace.m} divides the binomial; residue is 0")
     cap = p**N if trace.method == "davis-webb" else None
+    wrap = "<{}>" if trace.method == "davis-webb" else "C({})"
+    text = cache(_text)  # a trace repeats its windows: format each once
     for f in trace.factors:
-        num, den = _factor_sides(f, trace.method)
-        head = f"{num}/{den}" if den else num
+        num, den = _sides(f, text)
+        head = wrap.format(num) + (f"/{wrap.format(den)}" if den else "")
         nv = f.num_value.value_mod()
         ints = str(nv % cap if cap else nv)
         if f.den_value is not None:
@@ -723,12 +734,12 @@ def format_trace_text(trace: EvalTrace) -> str:
 def format_trace_records(trace: EvalTrace) -> list[str]:
     """Machine-readable lines: one factor per line, then the result line."""
     lines = []
+    text = cache(_text)  # as in format_trace_text
     for f in trace.factors:
-        num = f"{f.num_a}/{f.num_b}"
-        den = f"{f.den_a}/{f.den_b}" if f.den_a is not None else "-"
+        num, den = _sides(f, text)
         v = f.value
         lines.append(
-            f"index={f.index} num_block={num} den_block={den} "
+            f"index={f.index} num_block={num} den_block={den or '-'} "
             f"val={v.valuation} unit={v.unit} prec={v.precision}"
         )
     lines.append(f"result={trace.residue} modulus={trace.p ** trace.mod_exp}")

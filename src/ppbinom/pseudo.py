@@ -96,12 +96,9 @@ def _span(e: PseudoExpansion, i: int, length: int) -> tuple[int, int, int]:
         raise EmptyBlock("blocks span at least one pseudo-digit")
     if i < 0:
         raise IndexError(f"block start {i} is negative")
-    bounds = e.bounds
-    np = len(bounds) - 1
-    # min() spelled out: a traced walk runs this twice per position.
-    lo = i if i < np else np
-    hi = i + length if i + length < np else np
-    return bounds[lo], bounds[hi], hi - lo
+    np = len(e.bounds) - 1
+    lo, hi = min(i, np), min(i + length, np)
+    return e.bounds[lo], e.bounds[hi], hi - lo
 
 
 def block(e: PseudoExpansion, i: int, length: int) -> tuple[DigitString, DigitString]:

@@ -2,11 +2,12 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from ppbinom import cli, engine
-from ppbinom.digits import _digit_pair, parse_natural
+from ppbinom.digits import _digit_pair, _text, parse_natural
 from ppbinom.engine import (
     ValuedUnit,
     _dw_bracket,
@@ -20,7 +21,7 @@ from ppbinom.engine import (
 )
 from ppbinom.errors import NegativeValuation, NotPrime, OrderViolation, TooLarge
 from ppbinom.oracle import binom_exact, kummer_valuation
-from ppbinom.pseudo import block_valuation, decompose, pseudo_valuation
+from ppbinom.pseudo import PseudoExpansion, block, block_valuation, decompose, pseudo_valuation
 
 A3 = parse_natural("1221121202", 3)
 B3 = parse_natural("1011012021", 3)
@@ -583,6 +584,91 @@ class TestTraceFormatting:
         )
         assert format_trace_records(tr)[-1] == "result=0 modulus=9"
         assert len(tr.factors) == 7
+
+
+def _low_valuation_pair(rng, p, digits, borrows):
+    """A >= B with ``digits`` base-p digits, B's digits at most A's but at
+    ``borrows`` positions, where A - B borrows."""
+    ad = [rng.randrange(p) for _ in range(digits - 1)]
+    bd = [rng.randrange(d + 1) for d in ad]
+    for j in rng.sample(range(digits - 1), borrows):
+        ad[j], bd[j] = 0, p - 1
+    return from_digits(ad + [1], p), from_digits(bd + [0], p)
+
+
+def _windows(f):
+    return [w for w in (f.num_a, f.num_b, f.den_a, f.den_b) if w is not None]
+
+
+def _assert_windows_are_blocks(tr, e, width):
+    assert tr.factors
+    for f in tr.factors:
+        assert (f.num_a, f.num_b) == block(e, f.index, width), f.index
+        if f.den_a is not None:
+            assert (f.den_a, f.den_b) == block(e, f.index + 1, width - 1), f.index
+
+
+class TestTraceWindows:
+    """A traced walk slices its digit windows itself and builds one
+    DigitString per distinct digit tuple; the formatters read each
+    distinct window's text once."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_windows_are_blocks(self, p):
+        rng = random.Random(p)
+        # widths 1 and 4 over 60 digits, and over 3, which pads the top block
+        for digits, borrows in ((60, 2), (3, 1)):
+            for _ in range(5):
+                A, B = _low_valuation_pair(rng, p, digits, borrows)
+                e = decompose(A, B, p)
+                for n in (1, 4):
+                    N = pseudo_valuation(e) + n
+                    _assert_windows_are_blocks(theorem_evaluate(A, B, p, N)[1], e, n)
+                    a, b = _digit_pair(A, B, p, N)
+                    dw = PseudoExpansion(p, a, b, tuple(range(len(a) + 1)))
+                    _assert_windows_are_blocks(davis_webb_evaluate(A, B, p, N)[1], dw, N)
+
+    def test_equal_digits_keep_their_base(self):
+        ad, bd = [2, 0, 1, 1, 2, 0, 2, 1], [1, 0, 2, 0, 1, 0, 2, 0]
+        sides = [
+            theorem_factors(decompose(from_digits(ad, p), from_digits(bd, p), p), 3)
+            for p in (3, 5)
+        ]
+        for f3, f5 in zip(*sides):
+            for w3, w5 in zip(_windows(f3), _windows(f5)):
+                assert w3.digits == w5.digits
+                assert (w3.base, w5.base) == (3, 5)
+                assert (w3.value, w5.value) == (from_digits(w3.digits, 3), from_digits(w5.digits, 5))
+
+    def test_equal_windows_are_one_instance_formatted_once(self, monkeypatch):
+        rng = random.Random(7)
+        A, B = _low_valuation_pair(rng, 3, 400, 2)
+        for tr in (theorem_evaluate(A, B, 3, 8)[1], davis_webb_evaluate(A, B, 3, 5)[1]):
+            shown = [w for f in tr.factors for w in _windows(f)]
+            distinct = {w.digits: w for w in shown}
+            assert all(distinct[w.digits] is w for w in shown)
+            assert 4 * len(distinct) < len(shown)  # the windows do repeat
+            texts = []
+            monkeypatch.setattr(engine, "_text", lambda d, texts=texts: texts.append(d) or _text(d))
+            format_trace_text(tr)
+            format_trace_records(tr)
+            assert Counter(texts) == Counter({d: 2 for d in distinct})
+
+    def test_long_trace_formats_as_plain_text(self, monkeypatch):
+        # A 3000-digit low-valuation pair: thousands of factors over a few
+        # hundred distinct windows, formatted byte for byte as if every
+        # window's text came from _text on its own.
+        rng = random.Random(3000)
+        A, B = _low_valuation_pair(rng, 3, 3000, 3)
+        traces = [theorem_evaluate(A, B, 3, 9)[1], davis_webb_evaluate(A, B, 3, 6)[1]]
+        assert all(len(tr.factors) > 2000 for tr in traces)
+        shared = [(format_trace_text(tr), format_trace_records(tr)) for tr in traces]
+        for tr, (_, records) in zip(traces, shared):
+            for f, line in zip(tr.factors, records):
+                den = f"{f.den_a}/{f.den_b}" if f.den_a is not None else "-"
+                assert line.startswith(f"index={f.index} num_block={f.num_a}/{f.num_b} den_block={den} ")
+        monkeypatch.setattr(engine, "cache", lambda f: f)  # no text memo
+        assert shared == [(format_trace_text(tr), format_trace_records(tr)) for tr in traces]
 
 
 def from_digits(digits, p):

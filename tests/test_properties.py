@@ -246,7 +246,7 @@ def test_davis_webb_trace_quotients_are_integral():
 
 
 def _assert_values_match_windows(factors, recompute):
-    # the walk rolls its block values; the windows come from block()
+    # the walk rolls its block values; the windows are block()'s
     for f in factors:
         num = f.num_value
         assert (num.valuation, num.unit) == recompute(f.num_a, f.num_b), f.index

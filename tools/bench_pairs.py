@@ -31,7 +31,7 @@ import baseline  # noqa: E402
 
 SEEDS = (1, 2)
 PAIRS = 10
-TRACED = ("low_valuation", "large_prime")
+TRACED = ("low_valuation", "large_prime", "cli_text")
 TRACED_PAIRS = 3
 
 
