@@ -1,22 +1,20 @@
 """Base-p digit arithmetic on arbitrary-precision nonnegative integers.
 
-Naturals are plain Python ints (always >= 0).  Digit strings are stored
-little-endian, so index ``i`` carries weight ``p**i``; the text form is
-most-significant digit first, using the characters 0-9 then a-z, matching
-the way numbers are normally written out.
+Naturals are plain Python ints (always >= 0).  Digit sequences are plain
+little-endian tuples, so index ``i`` carries weight ``p**i``; their text
+(``_text``) is most-significant digit first, using the characters 0-9
+then a-z, matching the way numbers are normally written out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, zip_longest
 
 from .errors import EmptyInput, InvalidDigit, NotPrime, describe_int
 
 __all__ = [
-    "DigitString",
     "parse_natural",
     "to_base_p",
     "is_prime",
@@ -76,38 +74,6 @@ def ensure_prime(p: int) -> int:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return p
-
-
-@dataclass(frozen=True, slots=True)
-class DigitString:
-    """Little-endian digit sequence in a fixed base.
-
-    Digits are kept as given, leading zeros included, so a fixed-width
-    block keeps its width; ``to_base_p`` gives the canonical form.  The
-    constructor assumes digits already lie in 0..base-1.
-    """
-
-    digits: tuple[int, ...]
-    base: int
-
-    def __post_init__(self) -> None:
-        if not self.digits:
-            raise EmptyInput("a digit string needs at least one digit")
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        return _text(self.digits)
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.base + d
-        return v
 
 
 def _text(digits: tuple[int, ...]) -> str:
@@ -215,10 +181,10 @@ def parse_natural(text: str, radix: int) -> int:
     return parts[0]
 
 
-def to_base_p(n: int, p: int) -> DigitString:
-    """Canonical base-p digit string of n; p must be prime."""
+def to_base_p(n: int, p: int) -> tuple[int, ...]:
+    """Little-endian base-p digits of n, no leading zeros; p must be prime."""
     ensure_prime(p)
-    return DigitString(_digits_of(n, p), p)
+    return _digits_of(n, p)
 
 
 def _borrows(da: tuple[int, ...], db: tuple[int, ...]) -> int:

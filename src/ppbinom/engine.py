@@ -25,10 +25,10 @@ from __future__ import annotations
 from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from math import isqrt, prod
 
-from .digits import DigitString, _borrows, _digit_pair, _digits_of, _text, ensure_prime
+from .digits import _borrows, _digit_pair, _digits_of, _text, ensure_prime
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
 from .pseudo import PseudoExpansion, decompose, pseudo_valuation
 
@@ -443,14 +443,15 @@ class Factor:
     """One factor of an evaluation product.
 
     ``index`` is the start position of the numerator block; the
-    denominator is absent on the leading factor and at width 1.
+    windows are little-endian digit tuples, and the denominator's are
+    absent on the leading factor and at width 1.
     """
 
     index: int
-    num_a: DigitString
-    num_b: DigitString
-    den_a: DigitString | None
-    den_b: DigitString | None
+    num_a: tuple[int, ...]
+    num_b: tuple[int, ...]
+    den_a: tuple[int, ...] | None
+    den_b: tuple[int, ...] | None
     num_value: ValuedUnit
     den_value: ValuedUnit | None
     value: ValuedUnit
@@ -492,18 +493,18 @@ def _walk(
     folds group i's digits in below it.  Units are accumulated apart and divided once;
     given a list, the walk appends one Factor per position.  Its digit
     windows, ``block(e, i, width)`` and ``block(e, i + 1, width - 1)``,
-    are sliced from the walk's own offsets, and each distinct digit tuple
-    becomes one DigitString shared by every factor that shows it.  Traces,
-    Davis-Webb and the untraced theorem where its unit factorials are not
-    worth their set-up (``_source``) take this walk.
+    are sliced from the walk's own offsets, and equal windows share one
+    tuple across the factors that show them.  Traces, Davis-Webb and the
+    untraced theorem where its unit factorials are not worth their set-up
+    (``_source``) take this walk.
     """
     p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
     pe = p**width
     top = max(len(bounds) - 1 - width, 0)
     # zero groups above the top: only where the expansion is shorter than width
     pad = (0,) * (width - (len(bounds) - 1 - top))
-    # One DigitString per distinct digit tuple, for this walk only.
-    window = cache(partial(DigitString, base=p))
+    # One tuple per distinct digit window, for this walk only.
+    window = cache(lambda digits: digits)
     # hi: the digit offset above group i; k: the denominator's digit count.
     hi = bounds[-1]
     av = bv = k = v = 0
@@ -694,11 +695,11 @@ def davis_webb_evaluate(
 
 def _sides(f: Factor, text: Callable[[tuple[int, ...]], str]) -> tuple[str, str | None]:
     """The "a/b" texts of f's numerator and denominator windows (None
-    without one), each window's digits read through ``text``."""
-    num = f"{text(f.num_a.digits)}/{text(f.num_b.digits)}"
+    without one), each window read through ``text``."""
+    num = f"{text(f.num_a)}/{text(f.num_b)}"
     if f.den_a is None:
         return num, None
-    return num, f"{text(f.den_a.digits)}/{text(f.den_b.digits)}"
+    return num, f"{text(f.den_a)}/{text(f.den_b)}"
 
 
 def format_trace_text(trace: EvalTrace) -> str:

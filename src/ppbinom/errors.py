@@ -10,7 +10,7 @@ def describe_int(n: int) -> str:
 
 
 class EmptyInput(ValueError):
-    """An empty string or sequence was given where content is required."""
+    """An empty number string was given."""
 
 
 class InvalidDigit(ValueError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digits import DigitString, _digit_pair, _text, ensure_prime
+from .digits import _digit_pair, _text, ensure_prime
 from .errors import EmptyBlock, _check_pair
 
 __all__ = [
@@ -36,7 +36,7 @@ class PseudoExpansion:
     Stores the digit tuples of both numbers (B padded to A's width) and the
     segment boundaries; ``bounds[i]`` is the digit offset where group ``i``
     starts and ``bounds[-1]`` the total digit count.  ``block`` reads
-    groups and runs of groups as digit strings.
+    groups and runs of groups as digit tuples.
     """
 
     p: int
@@ -101,18 +101,15 @@ def _span(e: PseudoExpansion, i: int, length: int) -> tuple[int, int, int]:
     return e.bounds[lo], e.bounds[hi], hi - lo
 
 
-def block(e: PseudoExpansion, i: int, length: int) -> tuple[DigitString, DigitString]:
-    """Concatenation of groups i .. i+length-1 on both sides.
+def block(e: PseudoExpansion, i: int, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Little-endian digits of groups i .. i+length-1 on both sides.
 
     Groups above the top index contribute a single zero digit each, which
     is the padding the leading block of a short expansion needs.
     """
     lo, hi, groups = _span(e, i, length)
     pad = (0,) * (length - groups)
-    return (
-        DigitString(e.a_digits[lo:hi] + pad, e.p),
-        DigitString(e.b_digits[lo:hi] + pad, e.p),
-    )
+    return e.a_digits[lo:hi] + pad, e.b_digits[lo:hi] + pad
 
 
 def block_valuation(e: PseudoExpansion, i: int, length: int) -> int:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import from_digits
 
 from ppbinom import cli, engine
 
@@ -39,7 +40,7 @@ def half_digit_pair(p, digits):
     rng = random.Random(p)
     a = [rng.randrange(3 * p // 4, p) for _ in range(digits)]
     b = [rng.randrange(x * 9 // 20, x * 11 // 20 + 1) for x in a]
-    return [str(sum(d * p**i for i, d in enumerate(ds))) for ds in (a, b)]
+    return [str(from_digits(ds, p)) for ds in (a, b)]
 
 
 class TestModuleEntry:

@@ -1,13 +1,14 @@
-"""Digit arithmetic: parsing, radix conversion, primality, digit strings."""
+"""Digit arithmetic: parsing, radix conversion, primality, digit text."""
 
 import random
 
 import pytest
+from helpers import from_digits
 
 from ppbinom.digits import (
-    DigitString,
     _digits_of,
     _radix_plan,
+    _text,
     ensure_prime,
     is_prime,
     parse_natural,
@@ -132,43 +133,41 @@ class TestDigitsOf:
         lengths |= {t * k + d for t in (1, 2, 3) for d in (-1, 0, 1)}
         for length in sorted(x for x in lengths if x > 0):
             ds = [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)]
-            n = sum(d * p**i for i, d in enumerate(ds))
-            assert _digits_of(n, p) == tuple(ds), (p, length)
+            assert _digits_of(from_digits(ds, p), p) == tuple(ds), (p, length)
 
     def test_table_holds_every_tuple(self):
         for p in SMALL_PRIMES:
             _, k, step, table = _radix_plan(p)
             j = len(table[0])
             assert j * step <= 2048 < (j + 1) * step * p and k % j == 0
-            assert [sum(d * p**i for i, d in enumerate(t)) for t in table] == list(range(step))
+            assert [from_digits(t, p) for t in table] == list(range(step))
 
 
 class TestToBaseP:
     def test_seven_base3(self):
-        assert to_base_p(7, 3).digits == (1, 2)
+        assert to_base_p(7, 3) == (1, 2)
 
     def test_zero(self):
-        assert to_base_p(0, 5).digits == (0,)
+        assert to_base_p(0, 5) == (0,)
 
     def test_worked_example_digits(self):
-        s = to_base_p(38360, 3)
-        assert str(s) == "1221121202"
+        assert _text(to_base_p(38360, 3)) == "1221121202"
 
     def test_round_trip_mixed_sizes(self):
         for p in (2, 3, 5, 101):
             for n in (0, 1, p - 1, p, p + 1, p**7, 12345678901234567890):
-                assert to_base_p(n, p).value == n
+                assert from_digits(to_base_p(n, p), p) == n
 
     def test_canonical_no_leading_zero(self):
         s = to_base_p(9, 3)
-        assert s.digits == (0, 0, 1)
-        assert str(s) == "100"
+        assert s == (0, 0, 1)
+        assert _text(s) == "100"
 
     def test_text_stops_at_z(self):
         # digits past 35 have no character; this was a bare IndexError
-        assert str(to_base_p(35, 37)) == "z"
+        assert _text(to_base_p(35, 37)) == "z"
         with pytest.raises(ValueError, match="digit 100 "):
-            str(to_base_p(100, 101))
+            _text(to_base_p(100, 101))
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):
@@ -179,19 +178,6 @@ class TestToBaseP:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             to_base_p(-1, 3)
-
-
-class TestFromBaseP:
-    """The positional value of a digit string, the inverse of to_base_p."""
-
-    def test_small(self):
-        assert DigitString((1, 2), 3).value == 7
-
-    def test_zero(self):
-        assert DigitString((0,), 7).value == 0
-
-    def test_five_digit_example(self):
-        assert DigitString((1, 2, 0, 2, 1), 3).value == 142
 
 
 class TestPrimality:
@@ -221,7 +207,7 @@ class TestConcatValue:
     def test_two_groups(self):
         # 202 over 011 in base 3 groups as (2)(20) over (1)(01)
         a, _ = block(decompose(20, 4, 3), 0, 2)
-        assert str(a) == "202"
+        assert _text(a) == "202"
 
     def test_base5_low_blocks(self):
         # the low groups (12)(0)(433) of the base-5 example
@@ -229,8 +215,8 @@ class TestConcatValue:
             parse_natural("432321433012", 5), parse_natural("323411244003", 5), 5
         )
         a, _ = block(e, 0, 3)
-        assert str(a) == "433012"
-        assert a.value == int("433012", 5)
+        assert _text(a) == "433012"
+        assert from_digits(a, 5) == int("433012", 5)
 
     def test_padding_survives(self):
         # B's groups (03)(0): the group's leading zero stays significant
@@ -238,14 +224,12 @@ class TestConcatValue:
             parse_natural("432321433012", 5), parse_natural("323411244003", 5), 5
         )
         _, b = block(e, 0, 2)
-        assert str(b) == "003"
+        assert _text(b) == "003"
         assert len(b) == 3
 
 
 class TestDigitString:
-    def test_str_is_most_significant_first(self):
-        assert str(DigitString((2, 0, 2, 1, 2), 3)) == "21202"
+    """A digit string is a little-endian tuple; its text reads the other way."""
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            DigitString((), 3)
+    def test_str_is_most_significant_first(self):
+        assert _text((2, 0, 2, 1, 2)) == "21202"

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from helpers import from_digits
 
 from ppbinom import cli, engine
 from ppbinom.digits import _digit_pair, _text, parse_natural
@@ -311,7 +312,7 @@ class TestTheoremFactors:
         e = decompose(A3, B3, 3)
         factors = theorem_factors(e, 3)
         blocks = [
-            (str(f.num_a), str(f.num_b), str(f.den_a) if f.den_a else None)
+            (_text(f.num_a), _text(f.num_b), _text(f.den_a) if f.den_a else None)
             for f in factors
         ]
         assert blocks == [
@@ -337,13 +338,13 @@ class TestTheoremFactors:
         factors = theorem_factors(e, 2)
         assert len(factors) == 1
         f = factors[0]
-        assert (str(f.num_a), str(f.num_b)) == ("1010", "0101")
+        assert (_text(f.num_a), _text(f.num_b)) == ("1010", "0101")
         assert f.den_a is None
 
     def test_width_one_has_empty_denominators(self):
         e = decompose(10, 5, 2)
         factors = theorem_factors(e, 1)
-        assert [(str(f.num_a), str(f.num_b)) for f in factors] == [
+        assert [(_text(f.num_a), _text(f.num_b)) for f in factors] == [
             ("10", "01"),
             ("10", "01"),
         ]
@@ -389,7 +390,7 @@ class TestTheoremEvaluate:
         assert (tr.m, tr.n) == (1, 3)
         assert len(tr.factors) == 1
         f = tr.factors[0]
-        assert (str(f.num_a), str(f.num_b)) == ("0010", "0001")
+        assert (_text(f.num_a), _text(f.num_b)) == ("0010", "0001")
 
     def test_trace_false_matches(self):
         for N in range(1, 7):
@@ -609,9 +610,9 @@ def _assert_windows_are_blocks(tr, e, width):
 
 
 class TestTraceWindows:
-    """A traced walk slices its digit windows itself and builds one
-    DigitString per distinct digit tuple; the formatters read each
-    distinct window's text once."""
+    """A traced walk slices its digit windows itself and shares one tuple
+    per distinct window; the formatters read each distinct window's text
+    once."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_windows_are_blocks(self, p):
@@ -628,25 +629,36 @@ class TestTraceWindows:
                     dw = PseudoExpansion(p, a, b, tuple(range(len(a) + 1)))
                     _assert_windows_are_blocks(davis_webb_evaluate(A, B, p, N)[1], dw, N)
 
-    def test_equal_digits_keep_their_base(self):
+    def test_equal_digits_show_equal_text_at_each_base(self):
+        # the same digit tuples at p = 3 and p = 5: the traces print the
+        # same windows, and each factor's values are its own base's
         ad, bd = [2, 0, 1, 1, 2, 0, 2, 1], [1, 0, 2, 0, 1, 0, 2, 0]
-        sides = [
-            theorem_factors(decompose(from_digits(ad, p), from_digits(bd, p), p), 3)
-            for p in (3, 5)
-        ]
-        for f3, f5 in zip(*sides):
-            for w3, w5 in zip(_windows(f3), _windows(f5)):
-                assert w3.digits == w5.digits
-                assert (w3.base, w5.base) == (3, 5)
-                assert (w3.value, w5.value) == (from_digits(w3.digits, 3), from_digits(w5.digits, 5))
+        n, traces = 3, {}
+        for p in (3, 5):
+            A, B = from_digits(ad, p), from_digits(bd, p)
+            traces[p] = theorem_evaluate(A, B, p, pseudo_valuation(decompose(A, B, p)) + n)[1]
+        windows = {
+            p: [line.split(" val=")[0] for line in format_trace_records(tr)[:-1]]
+            for p, tr in traces.items()
+        }
+        assert len(windows[3]) > 1 and windows[3] == windows[5]
+        for p, tr in traces.items():
+            for f in tr.factors:
+                sides = [(f.num_value, f.num_a, f.num_b), (f.den_value, f.den_a, f.den_b)]
+                for value, a, b in sides:
+                    if value is not None:
+                        c = math.comb(from_digits(a, p), from_digits(b, p))
+                        assert (value.p, value.valuation, value.unit) == (p, *split_p(c, p, p**n))
+        units = [[f.value.unit for f in tr.factors] for tr in traces.values()]
+        assert units[0] != units[1]
 
     def test_equal_windows_are_one_instance_formatted_once(self, monkeypatch):
         rng = random.Random(7)
         A, B = _low_valuation_pair(rng, 3, 400, 2)
         for tr in (theorem_evaluate(A, B, 3, 8)[1], davis_webb_evaluate(A, B, 3, 5)[1]):
             shown = [w for f in tr.factors for w in _windows(f)]
-            distinct = {w.digits: w for w in shown}
-            assert all(distinct[w.digits] is w for w in shown)
+            distinct = {w: w for w in shown}
+            assert all(distinct[w] is w for w in shown)
             assert 4 * len(distinct) < len(shown)  # the windows do repeat
             texts = []
             monkeypatch.setattr(engine, "_text", lambda d, texts=texts: texts.append(d) or _text(d))
@@ -665,15 +677,11 @@ class TestTraceWindows:
         shared = [(format_trace_text(tr), format_trace_records(tr)) for tr in traces]
         for tr, (_, records) in zip(traces, shared):
             for f, line in zip(tr.factors, records):
-                den = f"{f.den_a}/{f.den_b}" if f.den_a is not None else "-"
-                assert line.startswith(f"index={f.index} num_block={f.num_a}/{f.num_b} den_block={den} ")
+                den = f"{_text(f.den_a)}/{_text(f.den_b)}" if f.den_a is not None else "-"
+                num = f"{_text(f.num_a)}/{_text(f.num_b)}"
+                assert line.startswith(f"index={f.index} num_block={num} den_block={den} ")
         monkeypatch.setattr(engine, "cache", lambda f: f)  # no text memo
         assert shared == [(format_trace_text(tr), format_trace_records(tr)) for tr in traces]
-
-
-def from_digits(digits, p):
-    """The natural with little-endian base-p digits ``digits``."""
-    return sum(d * p**i for i, d in enumerate(digits))
 
 
 @pytest.fixture

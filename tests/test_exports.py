@@ -16,7 +16,7 @@ MODULES = (digits, pseudo, engine, oracle)
 
 SURFACE = {
     "errors", "__version__",
-    "DigitString", "parse_natural", "to_base_p",
+    "parse_natural", "to_base_p",
     "is_prime", "ensure_prime",
     "PseudoExpansion", "decompose", "pseudo_valuation", "block", "block_valuation",
     "ValuedUnit", "Factor", "EvalTrace", "exact_binom_mod", "theorem_factors",
@@ -44,5 +44,5 @@ def test_package_reexports_module_objects():
 
 
 def test_package_surface():
-    assert len(ppbinom.__all__) == len(SURFACE) == 26
+    assert len(ppbinom.__all__) == len(SURFACE) == 25
     assert set(ppbinom.__all__) == SURFACE
