@@ -18,12 +18,16 @@
 All three track block values as (valuation, unit) pairs, ``p**valuation
 * unit`` with the unit held at a fixed precision, so nothing ever
 materializes the exact binomial.  A trace records them as ``ValuedUnit``.
+The block-quotient walks (the theorem's trace and fallback, Davis-Webb)
+key each position by its pair of windows and fold each distinct key once
+a batch of positions, its unit raised to its count (``_fold``).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import isqrt, prod
@@ -475,40 +479,95 @@ class EvalTrace:
     factors: tuple[Factor, ...]
 
 
-def _walk(
-    e: PseudoExpansion,
+# A walk folds its positions this many at a time: a batch tallies most
+# repeats of a short-window walk, and its keys stay a few MB when no
+# window repeats.
+_BATCH = 1 << 14
+
+# A position's key: the numerator block's A and B values, its digit count
+# and the digit count of its denominator, the numerator's top digits (0
+# where there is none).
+_Key = tuple[int, int, int, int]
+
+
+def _fold(
+    p: int,
     width: int,
     value: Callable[[int, int, int], tuple[int, int]],
+    a: tuple[int, ...],
+    b: tuple[int, ...],
+    lows: Sequence[int],
+    batches: Iterable[tuple[int, list[_Key]]],
     factors: list[Factor] | None = None,
 ) -> tuple[int, int]:
-    """(valuation, unit mod p**width) of the block-quotient product over
-    e's groups.
+    """(valuation, unit mod p**width) of a block-quotient product.
 
-    Position top = max(groups - width, 0) contributes the value of groups
-    top and up; each lower position i the value of groups i .. i+width-1
-    over that of groups i+1 .. i+width-1 (alone at width 1).
-    ``value(av, bv, k)`` maps a block's A and B values and digit count to
-    its (valuation, unit) pair.  The values roll: the denominator at i is
-    the running value cut to the digits of its groups, and the numerator
-    folds group i's digits in below it.  Units are accumulated apart and divided once;
-    given a list, the walk appends one Factor per position.  Its digit
-    windows, ``block(e, i, width)`` and ``block(e, i + 1, width - 1)``,
-    are sliced from the walk's own offsets, and equal windows share one
-    tuple across the factors that show them.  Traces, Davis-Webb and the
-    untraced theorem where its unit factorials are not worth their set-up
-    (``_source``) take this walk.
+    ``batches`` yields (i, keys), the keys of positions i, i - 1, .. in
+    lists of at most ``_BATCH``, from the top position down to 0.  Each
+    distinct key of a list is valued once, through ``value(av, bv, k)``
+    (a block's A and B values and digit count to its (valuation, unit)
+    pair), and enters the product raised to its count; units are
+    accumulated apart and divided once.  Given a list, the fold appends
+    one Factor per position, and the factors of a key share one body: its
+    windows, the digits of a and b from lows[j] at a position j of the
+    key (zero-padded past their end), interned across the walk, and its
+    three values.
+    """
+    pe = p**width
+    v = 0
+    num = den = 1
+    bodies: dict[_Key, tuple] = {}
+    windows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct window
+    for i, keys in batches:
+        if factors is not None:
+            where = dict(zip(keys, range(i, -1, -1)))
+        for key, c in Counter(keys).items():
+            av, bv, count, k = key
+            nv, nu = value(av, bv, count)
+            if k:
+                s = p ** (count - k)
+                dv, du = value(av // s, bv // s, k)
+            else:
+                dv, du = 0, 1
+            v += c * (nv - dv)
+            num = num * pow(nu, c, pe) % pe
+            den = den * pow(du, c, pe) % pe
+            if factors is not None and key not in bodies:
+                lo = lows[where[key]]
+                pad = (0,) * (lo + count - len(a))  # only a top block short of the width
+                na, nb = a[lo : lo + count] + pad, b[lo : lo + count] + pad
+                na, nb = windows.setdefault(na, na), windows.setdefault(nb, nb)
+                nvu = _vu(p, nv, nu, width)
+                if k:
+                    q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
+                    da, db = na[count - k :], nb[count - k :]
+                    da, db = windows.setdefault(da, da), windows.setdefault(db, db)
+                    bodies[key] = (na, nb, da, db, nvu, _vu(p, dv, du, width), q)
+                else:
+                    bodies[key] = (na, nb, None, None, nvu, None, nvu)
+        if factors is not None:
+            factors += [Factor(j, *bodies[key]) for j, key in zip(range(i, -1, -1), keys)]
+    return v, num * pow(den, -1, pe) % pe
+
+
+def _group_keys(e: PseudoExpansion, width: int) -> Iterator[tuple[int, list[_Key]]]:
+    """The keys of the theorem's positions, in ``_fold``'s batches.
+
+    Position top covers groups top and up; each lower position i the
+    blocks of groups i .. i+width-1 over i+1 .. i+width-1 (none at width
+    1).  The block values roll: the denominator at i is the running value
+    cut to the digits of its groups, and the numerator folds group i's
+    digits in below it, so each position reads one group.
     """
     p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
-    pe = p**width
     top = max(len(bounds) - 1 - width, 0)
     # zero groups above the top: only where the expansion is shorter than width
-    pad = (0,) * (width - (len(bounds) - 1 - top))
-    # One tuple per distinct digit window, for this walk only.
-    window = cache(lambda digits: digits)
+    pad = width - (len(bounds) - 1 - top)
     # hi: the digit offset above group i; k: the denominator's digit count.
     hi = bounds[-1]
-    av = bv = k = v = 0
-    pk = num = den = 1
+    av = bv = k = 0
+    pk = 1
+    keys: list[_Key] = []
     for i in range(top, -1, -1):
         if i < top:
             if bounds[i + width] - hi != k:
@@ -516,31 +575,29 @@ def _walk(
                 pk = p**k
             av %= pk
             bv %= pk
-        dav, dbv, lo = av, bv, bounds[i]
+        lo = bounds[i]
         for j in range(hi - 1, lo - 1, -1):
             av = a[j] + p * av
             bv = b[j] + p * bv
-        g = hi - lo
-        hi = lo
-        nv, nu = value(av, bv, k + g)
-        v += nv
-        num = num * nu % pe
-        has_den = i < top and width > 1
-        if has_den:
-            dv, du = value(dav, dbv, k)
-            v -= dv
-            den = den * du % pe
-        if factors is not None:
-            end = lo + g + k  # the digit offset above the numerator's real groups
-            na, nb = window(a[lo:end] + pad), window(b[lo:end] + pad)
-            nvu = _vu(p, nv, nu, width)
-            if has_den:
-                da, db = window(a[end - k : end]), window(b[end - k : end])
-                q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
-                factors.append(Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, width), q))
-            else:
-                factors.append(Factor(i, na, nb, None, None, nvu, None, nvu))
-    return v, num * pow(den, -1, pe) % pe
+        keys.append((av, bv, hi - lo + k + pad, k))
+        hi, pad = lo, 0
+        if len(keys) == _BATCH:
+            yield i + _BATCH - 1, keys
+            keys = []
+    yield len(keys) - 1, keys
+
+
+def _walk(e: PseudoExpansion, width: int, factors: list[Factor] | None = None) -> tuple[int, int]:
+    """(valuation, unit mod p**width) of the theorem's block-quotient
+    product over e's groups (``_group_keys``), each block valued by
+    ``_binom_vu``; given a list, one Factor a position, its windows
+    ``block(e, i, width)`` and ``block(e, i + 1, width - 1)``.  Traces
+    and the untraced theorem where its unit factorials are not worth
+    their set-up (``_source``) take this walk.
+    """
+    p, a, b = e.p, e.a_digits, e.b_digits
+    keys = _group_keys(e, width)
+    return _fold(p, width, lambda x, y, k: _binom_vu(x, y, p, width), a, b, e.bounds, keys, factors)
 
 
 def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
@@ -554,7 +611,7 @@ def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
     if n < 1:
         raise ValueError("block width n must be >= 1")
     factors: list[Factor] = []
-    _walk(e, n, lambda x, y, k: _binom_vu(x, y, e.p, n), factors)
+    _walk(e, n, factors)
     return factors
 
 
@@ -612,7 +669,7 @@ def theorem_evaluate(
     # where the blocks' B values sum to under 3 B and C values to under 3 C.
     t = None if trace else _source(A, p, n, 4 * min(B, A - B))
     if t is None:
-        v, unit = _walk(expansion, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
+        v, unit = _walk(expansion, n, factors)
         assert v == _borrows(a, b), "factor valuations disagree with the borrow count"
     else:
         v, unit = _granville(a, b, p, n, t)
@@ -660,6 +717,31 @@ def _dw_bracket(av: int, bv: int, k: int, p: int, e: int) -> tuple[int, int]:
     return v + stripped, unit
 
 
+def _digit_keys(
+    a: tuple[int, ...], b: tuple[int, ...], p: int, N: int
+) -> Iterator[tuple[int, list[_Key]]]:
+    """The keys of Davis-Webb's positions, in ``_fold``'s batches: the
+    values of the N-digit windows of a and b at each position, whose top
+    N - 1 digits are the denominator (none at the top or at N = 1).  The
+    window values roll down the digits mod p**N."""
+    pn = p**N
+    top = len(a) - N
+    x = y = 0
+    for i in range(len(a) - 1, top, -1):
+        x, y = x * p + a[i], y * p + b[i]
+    k = 0  # the top position has no denominator
+    keys: list[_Key] = []
+    for i in range(top, -1, -1):
+        x = (x * p + a[i]) % pn
+        y = (y * p + b[i]) % pn
+        keys.append((x, y, N, k))
+        k = N - 1
+        if len(keys) == _BATCH:
+            yield i + _BATCH - 1, keys
+            keys = []
+    yield len(keys) - 1, keys
+
+
 def davis_webb_evaluate(
     A: int,
     B: int,
@@ -669,12 +751,13 @@ def davis_webb_evaluate(
 ) -> tuple[int, EvalTrace | None]:
     """C(A, B) mod p**N via the width-N digit-window bracket product.
 
-    Works on plain base-p digits padded to a common length of at least N,
-    walked as an expansion whose groups are single digits: the leading
-    bracket covers the top N digits, and each lower position contributes
-    the bracket of its N-digit window over the bracket of the (N-1)-digit
-    window above it.  An untraced call returns (0, None) when the low 8N
-    digits of A - B already borrow N times, before any conversion.
+    Works on plain base-p digits padded to a common length of at least N:
+    the leading bracket covers the top N digits, and each lower position
+    contributes the bracket of its N-digit window over the bracket of the
+    (N-1)-digit window above it, its top N - 1 digits.  ``_fold`` values
+    each distinct window pair once a batch (``_digit_keys``).  An untraced
+    call returns (0, None) when the low 8N digits of A - B already borrow
+    N times, before any conversion.
     """
     _check_pair(A, B)
     ensure_prime(p)
@@ -683,9 +766,11 @@ def davis_webb_evaluate(
     if not trace and _low_borrows_reach(A, B, p, N):
         return 0, None
     a, b = _digit_pair(A, B, p, N)
-    e = PseudoExpansion(p, a, b, tuple(range(len(a) + 1)))
     factors = [] if trace else None
-    m, unit = _walk(e, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
+    m, unit = _fold(
+        p, N, lambda x, y, k: _dw_bracket(x, y, k, p, N),
+        a, b, range(len(a)), _digit_keys(a, b, p, N), factors,
+    )
     if m < 0:
         raise NegativeValuation("bracket product is not p-integral")
     residue = 0 if m >= N else p**m * unit % p**N
@@ -693,13 +778,15 @@ def davis_webb_evaluate(
     return residue, tr
 
 
-def _sides(f: Factor, text: Callable[[tuple[int, ...]], str]) -> tuple[str, str | None]:
-    """The "a/b" texts of f's numerator and denominator windows (None
-    without one), each window read through ``text``."""
-    num = f"{text(f.num_a)}/{text(f.num_b)}"
-    if f.den_a is None:
+def _sides(windows: tuple, text: Callable[[tuple[int, ...]], str]) -> tuple[str, str | None]:
+    """The "a/b" texts of a factor's numerator and denominator windows,
+    (num_a, num_b, den_a, den_b), the second None without a denominator;
+    each window read through ``text``."""
+    num_a, num_b, den_a, den_b = windows
+    num = f"{text(num_a)}/{text(num_b)}"
+    if den_a is None:
         return num, None
-    return num, f"{text(f.den_a)}/{text(f.den_b)}"
+    return num, f"{text(den_a)}/{text(den_b)}"
 
 
 def format_trace_text(trace: EvalTrace) -> str:
@@ -710,22 +797,28 @@ def format_trace_text(trace: EvalTrace) -> str:
         lines.append(f"  {p}^{trace.m} divides the binomial; residue is 0")
     cap = p**N if trace.method == "davis-webb" else None
     wrap = "<{}>" if trace.method == "davis-webb" else "C({})"
-    text = cache(_text)  # a trace repeats its windows: format each once
-    for f in trace.factors:
-        num, den = _sides(f, text)
+    # A trace repeats its windows and its factor bodies: format each once.
+    text = cache(_text)
+
+    @cache
+    def line(windows: tuple, num_value: ValuedUnit, den_value: ValuedUnit | None) -> str:
+        num, den = _sides(windows, text)
         head = wrap.format(num) + (f"/{wrap.format(den)}" if den else "")
-        nv = f.num_value.value_mod()
+        nv = num_value.value_mod()
         ints = str(nv % cap if cap else nv)
-        if f.den_value is not None:
-            dv = f.den_value.value_mod()
+        if den_value is not None:
+            dv = den_value.value_mod()
             ints += f"/{dv % cap if cap else dv}"
-        line = f"  {head} = {ints}"
-        if f.num_value.valuation or (f.den_value is not None and f.den_value.valuation):
-            factored = str(f.num_value)
-            if f.den_value is not None:
-                factored += f"/{f.den_value}"
-            line += f" = {factored}"
-        lines.append(line)
+        out = f"  {head} = {ints}"
+        if num_value.valuation or (den_value is not None and den_value.valuation):
+            factored = str(num_value)
+            if den_value is not None:
+                factored += f"/{den_value}"
+            out += f" = {factored}"
+        return out
+
+    for f in trace.factors:
+        lines.append(line((f.num_a, f.num_b, f.den_a, f.den_b), f.num_value, f.den_value))
     if trace.factors:
         lines.append(f"  combined: {p}^{trace.m} * {trace.unit} (unit mod {p**trace.n})")
     lines.append(f"  result: {trace.residue} (mod {p**N})")
@@ -734,14 +827,21 @@ def format_trace_text(trace: EvalTrace) -> str:
 
 def format_trace_records(trace: EvalTrace) -> list[str]:
     """Machine-readable lines: one factor per line, then the result line."""
-    lines = []
     text = cache(_text)  # as in format_trace_text
-    for f in trace.factors:
-        num, den = _sides(f, text)
-        v = f.value
-        lines.append(
-            f"index={f.index} num_block={num} den_block={den or '-'} "
-            f"val={v.valuation} unit={v.unit} prec={v.precision}"
+
+    @cache
+    def tail(windows: tuple, valuation: int, unit: int, precision: int) -> str:
+        # the line after its index
+        num, den = _sides(windows, text)
+        return (
+            f"num_block={num} den_block={den or '-'} "
+            f"val={valuation} unit={unit} prec={precision}"
         )
+
+    lines = []
+    for f in trace.factors:
+        v = f.value
+        rest = tail((f.num_a, f.num_b, f.den_a, f.den_b), v.valuation, v.unit, v.precision)
+        lines.append(f"index={f.index} {rest}")
     lines.append(f"result={trace.residue} modulus={trace.p ** trace.mod_exp}")
     return lines

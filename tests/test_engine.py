@@ -3,6 +3,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from helpers import from_digits
@@ -43,6 +44,17 @@ def granville(a, b, p, e, t):
     """(v, unit) of C(a, b) from the Granville pass over a's and b's
     padded digits, reading unit factorials from t."""
     return engine._granville(*_digit_pair(a, b, p), p, e, t)
+
+
+def _batch_edge_pairs(rng, p, width):
+    """(positions, A, B) for seeded m = 0 pairs whose walks at ``width``
+    have one batch - 1, one batch and one batch + 1 positions: every digit
+    is its own group, so a pair of d digits has d - width + 1 positions in
+    either walk."""
+    for positions in (engine._BATCH - 1, engine._BATCH, engine._BATCH + 1):
+        ad = [rng.randrange(p) for _ in range(positions + width - 2)] + [1]
+        bd = [rng.randrange(d + 1) for d in ad]
+        yield positions, from_digits(ad, p), from_digits(bd, p)
 
 
 def xgcd(a, b):
@@ -399,6 +411,19 @@ class TestTheoremEvaluate:
             assert full == fast
             assert none is None
             assert tr.residue == full
+        # The untraced walk (the fallback where unit factorials are not
+        # worth their set-up) folds the same product as the traced one,
+        # across the batch edge, where windows repeat (p = 3) and where
+        # they are all distinct (p = 2, n = 14); both match the pass.
+        rng = random.Random(23)
+        for p, n in ((3, 3), (2, 14)):
+            for positions, A, B in _batch_edge_pairs(rng, p, n):
+                e = decompose(A, B, p)
+                res, tr = theorem_evaluate(A, B, p, n, expansion=e)
+                assert [f.index for f in tr.factors] == list(range(positions - 1, -1, -1))
+                _assert_windows_are_blocks(tr, e, n)
+                assert engine._walk(e, n) == (0, res)
+                assert theorem_evaluate(A, B, p, n, trace=False) == (res, None)
 
     def test_expansion_reuse(self):
         e = decompose(A3, B3, 3)
@@ -494,6 +519,17 @@ class TestDavisWebbEvaluate:
                 for b in range(a + 1):
                     want = math.comb(a, b) % mod
                     assert davis_webb_evaluate(a, b, p, N, trace=False)[0] == want
+        # untraced against traced across the batch edge, where windows
+        # repeat (p = 3) and where they are all distinct (p = 2, N = 14)
+        rng = random.Random(23)
+        for p, N in ((3, 3), (2, 14)):
+            for positions, A, B in _batch_edge_pairs(rng, p, N):
+                res, tr = davis_webb_evaluate(A, B, p, N)
+                assert [f.index for f in tr.factors] == list(range(positions - 1, -1, -1))
+                a, b = _digit_pair(A, B, p, N)
+                _assert_windows_are_blocks(tr, PseudoExpansion(p, a, b, range(len(a) + 1)), N)
+                assert davis_webb_evaluate(A, B, p, N, trace=False) == (res, None)
+                assert res == theorem_evaluate(A, B, p, N, trace=False)[0]
 
     def test_methods_and_oracle_agree(self):
         res_t, _ = theorem_evaluate(A8, B8, 3, 5, trace=False)
@@ -528,6 +564,25 @@ class TestTraceFormatting:
         for line in lines[:-1]:
             keys = [kv.split("=")[0] for kv in line.split()]
             assert keys == ["index", "num_block", "den_block", "val", "unit", "prec"]
+
+    def test_equal_bodies_keep_their_own_lines(self):
+        # Factors with equal windows share their line past the index, and
+        # each keeps its own index; a factor with the same windows but
+        # another value gets its own line.
+        _, tr = davis_webb_evaluate(A8 * 3**40 + A8, B8 * 3**40 + B8, 3, 2)
+        tails = {}
+        for f, line in zip(tr.factors, format_trace_records(tr)):
+            index, tail = line.split(" ", 1)
+            assert index == f"index={f.index}"
+            assert tails.setdefault(tuple(_windows(f)), tail) == tail
+        assert len(tails) < len(tr.factors) // 2
+        f = tr.factors[-1]
+        other = ValuedUnit(3, 5, 1, 2)  # no 2-digit window has valuation 5
+        odd = replace(tr, factors=(f, replace(f, index=7, num_value=other, value=other)))
+        (_, first), (_, second) = (line.split(" ", 1) for line in format_trace_records(odd)[:2])
+        assert first == tails[tuple(_windows(f))] != second
+        lines = format_trace_text(odd).splitlines()
+        assert lines[1] == format_trace_text(tr).splitlines()[-3] != lines[2]
 
     def test_text_past_z_is_a_value_error(self):
         # a base-101 trace has digit 100 in its blocks; this was an IndexError
@@ -812,6 +867,26 @@ def test_benchmark_hooks_stay_live(monkeypatch):
     assert misses == len(calls) > 0
     davis_webb_evaluate(A, B, p, N, trace=False)
     assert engine._dw_bracket.cache_info().misses > 0
+
+
+def test_walks_value_each_distinct_window_once():
+    # An untraced Davis-Webb call asks _dw_bracket once per distinct
+    # window pair and side, and a traced theorem call asks _binom_vu once
+    # per distinct factor body and side, not once per position.
+    rng = random.Random(17)
+    p, N = 3, 4
+    A, B = _low_valuation_pair(rng, p, 3000, 2)
+    engine._dw_bracket.cache_clear()
+    davis_webb_evaluate(A, B, p, N, trace=False)
+    a, b = _digit_pair(A, B, p, N)
+    lower = {(a[i : i + N], b[i : i + N]) for i in range(len(a) - N)}
+    info = engine._dw_bracket.cache_info()
+    assert info.hits + info.misses == 2 * len(lower) + 1 < len(a) - N + 1
+    engine._binom_vu.cache_clear()
+    tr = theorem_evaluate(A, B, p, N)[1]
+    bodies = {tuple(_windows(f)) for f in tr.factors}
+    info = engine._binom_vu.cache_info()
+    assert info.hits + info.misses == sum(len(w) // 2 for w in bodies) < len(tr.factors)
 
 
 def test_group_quotients_wait_for_a_source():
