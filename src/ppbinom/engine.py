@@ -19,8 +19,9 @@ All three track block values as (valuation, unit) pairs, ``p**valuation
 * unit`` with the unit held at a fixed precision, so nothing ever
 materializes the exact binomial.  A trace records them as ``ValuedUnit``.
 The block-quotient walks (the theorem's trace and fallback, Davis-Webb)
-key each position by its pair of windows and fold each distinct key once
-a batch of positions, its unit raised to its count (``_fold``).
+key each position by its pair of windows (``_fold``): untraced, each
+distinct key of a batch of positions is valued once, its unit raised to
+its count; traced, the factors of a key share one body.
 """
 
 from __future__ import annotations
@@ -503,55 +504,77 @@ def _fold(
     """(valuation, unit mod p**width) of a block-quotient product.
 
     ``batches`` yields (i, keys), the keys of positions i, i - 1, .. in
-    lists of at most ``_BATCH``, from the top position down to 0.  Each
-    distinct key of a list is valued once, through ``value(av, bv, k)``
-    (a block's A and B values and digit count to its (valuation, unit)
-    pair), and enters the product raised to its count; units are
-    accumulated apart and divided once.  Given a list, the fold appends
-    one Factor per position, and the factors of a key share one body: its
-    windows, the digits of a and b from lows[j] at a position j of the
-    key (zero-padded past their end), interned across the walk, and its
-    three values.
+    lists of at most ``_BATCH``, from the top position down to 0, and
+    ``value(av, bv, digits)`` maps a block's A and B values and digit
+    count to its (valuation, unit) pair.  Untraced, each distinct key of a
+    list is valued once and enters the product raised to the number of
+    times it occurs; units are accumulated apart and divided once.  Given
+    a list, the fold appends one Factor a position instead, and the
+    factors of a key share the body of its first, at position j: its
+    windows, the digits of a and b from lows[j] (zero-padded past their
+    end), interned across the walk, and its three values, the last of
+    which enters the product.  The fold keeps that first Factor, not a
+    tuple of its body, so a walk whose keys do not repeat keeps no
+    container a key beyond its factors.
     """
     pe = p**width
     v = 0
     num = den = 1
-    bodies: dict[_Key, tuple] = {}
+    bodies: dict[_Key, Factor] = {}
     windows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct window
     for i, keys in batches:
-        if factors is not None:
-            where = dict(zip(keys, range(i, -1, -1)))
-        for key, c in Counter(keys).items():
-            av, bv, count, k = key
-            nv, nu = value(av, bv, count)
-            if k:
-                s = p ** (count - k)
-                dv, du = value(av // s, bv // s, k)
+        if factors is None:
+            for key, times in Counter(keys).items():
+                nv, nu, dv, du = _quotient(p, value, key)
+                v += times * (nv - dv)
+                num = num * pow(nu, times, pe) % pe
+                den = den * pow(du, times, pe) % pe
+            continue
+        for j, key in zip(range(i, -1, -1), keys):
+            f = bodies.get(key)
+            if f is not None:
+                f = Factor(j, f.num_a, f.num_b, f.den_a, f.den_b, f.num_value, f.den_value, f.value)
             else:
-                dv, du = 0, 1
-            v += c * (nv - dv)
-            num = num * pow(nu, c, pe) % pe
-            den = den * pow(du, c, pe) % pe
-            if factors is not None and key not in bodies:
-                lo = lows[where[key]]
-                pad = (0,) * (lo + count - len(a))  # only a top block short of the width
-                na, nb = a[lo : lo + count] + pad, b[lo : lo + count] + pad
+                nv, nu, dv, du = _quotient(p, value, key)
+                _, _, digits, k = key
+                lo = lows[j]
+                pad = (0,) * (lo + digits - len(a))  # only a top block short of the width
+                na, nb = a[lo : lo + digits] + pad, b[lo : lo + digits] + pad
                 na, nb = windows.setdefault(na, na), windows.setdefault(nb, nb)
                 nvu = _vu(p, nv, nu, width)
                 if k:
                     q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
-                    da, db = na[count - k :], nb[count - k :]
+                    da, db = na[digits - k :], nb[digits - k :]
                     da, db = windows.setdefault(da, da), windows.setdefault(db, db)
-                    bodies[key] = (na, nb, da, db, nvu, _vu(p, dv, du, width), q)
+                    f = Factor(j, na, nb, da, db, nvu, _vu(p, dv, du, width), q)
                 else:
-                    bodies[key] = (na, nb, None, None, nvu, None, nvu)
-        if factors is not None:
-            factors += [Factor(j, *bodies[key]) for j, key in zip(range(i, -1, -1), keys)]
+                    f = Factor(j, na, nb, None, None, nvu, None, nvu)
+                bodies[key] = f
+            factors.append(f)
+            q = f.value
+            v += q.valuation
+            num = num * q.unit % pe
     return v, num * pow(den, -1, pe) % pe
 
 
-def _group_keys(e: PseudoExpansion, width: int) -> Iterator[tuple[int, list[_Key]]]:
-    """The keys of the theorem's positions, in ``_fold``'s batches.
+def _quotient(
+    p: int, value: Callable[[int, int, int], tuple[int, int]], key: _Key
+) -> tuple[int, int, int, int]:
+    """(nv, nu, dv, du): the values of a key's numerator block and of its
+    denominator, the block's top k digits ((0, 1) where k is 0)."""
+    av, bv, digits, k = key
+    nv, nu = value(av, bv, digits)
+    if not k:
+        return nv, nu, 0, 1
+    s = p ** (digits - k)
+    return (nv, nu, *value(av // s, bv // s, k))
+
+
+def _group_keys(
+    p: int, a: tuple[int, ...], b: tuple[int, ...], bounds: Sequence[int], width: int
+) -> Iterator[tuple[int, list[_Key]]]:
+    """The keys of a block-quotient walk over the groups of a and b,
+    group i starting at digit bounds[i], in ``_fold``'s batches.
 
     Position top covers groups top and up; each lower position i the
     blocks of groups i .. i+width-1 over i+1 .. i+width-1 (none at width
@@ -559,7 +582,6 @@ def _group_keys(e: PseudoExpansion, width: int) -> Iterator[tuple[int, list[_Key
     cut to the digits of its groups, and the numerator folds group i's
     digits in below it, so each position reads one group.
     """
-    p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
     top = max(len(bounds) - 1 - width, 0)
     # zero groups above the top: only where the expansion is shorter than width
     pad = width - (len(bounds) - 1 - top)
@@ -576,11 +598,13 @@ def _group_keys(e: PseudoExpansion, width: int) -> Iterator[tuple[int, list[_Key
             av %= pk
             bv %= pk
         lo = bounds[i]
-        for j in range(hi - 1, lo - 1, -1):
-            av = a[j] + p * av
-            bv = b[j] + p * bv
-        keys.append((av, bv, hi - lo + k + pad, k))
-        hi, pad = lo, 0
+        digits = hi - lo + k + pad
+        while hi > lo:
+            hi -= 1
+            av = a[hi] + p * av
+            bv = b[hi] + p * bv
+        keys.append((av, bv, digits, k))
+        pad = 0
         if len(keys) == _BATCH:
             yield i + _BATCH - 1, keys
             keys = []
@@ -589,15 +613,15 @@ def _group_keys(e: PseudoExpansion, width: int) -> Iterator[tuple[int, list[_Key
 
 def _walk(e: PseudoExpansion, width: int, factors: list[Factor] | None = None) -> tuple[int, int]:
     """(valuation, unit mod p**width) of the theorem's block-quotient
-    product over e's groups (``_group_keys``), each block valued by
-    ``_binom_vu``; given a list, one Factor a position, its windows
-    ``block(e, i, width)`` and ``block(e, i + 1, width - 1)``.  Traces
-    and the untraced theorem where its unit factorials are not worth
-    their set-up (``_source``) take this walk.
+    product over e's groups, each block valued by ``_binom_vu``; given a
+    list, one Factor a position, its windows ``block(e, i, width)`` and
+    ``block(e, i + 1, width - 1)``.  Traces and the untraced theorem
+    where its unit factorials are not worth their set-up (``_source``)
+    take this walk.
     """
-    p, a, b = e.p, e.a_digits, e.b_digits
-    keys = _group_keys(e, width)
-    return _fold(p, width, lambda x, y, k: _binom_vu(x, y, p, width), a, b, e.bounds, keys, factors)
+    p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
+    keys = _group_keys(p, a, b, bounds, width)
+    return _fold(p, width, lambda x, y, k: _binom_vu(x, y, p, width), a, b, bounds, keys, factors)
 
 
 def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
@@ -717,31 +741,6 @@ def _dw_bracket(av: int, bv: int, k: int, p: int, e: int) -> tuple[int, int]:
     return v + stripped, unit
 
 
-def _digit_keys(
-    a: tuple[int, ...], b: tuple[int, ...], p: int, N: int
-) -> Iterator[tuple[int, list[_Key]]]:
-    """The keys of Davis-Webb's positions, in ``_fold``'s batches: the
-    values of the N-digit windows of a and b at each position, whose top
-    N - 1 digits are the denominator (none at the top or at N = 1).  The
-    window values roll down the digits mod p**N."""
-    pn = p**N
-    top = len(a) - N
-    x = y = 0
-    for i in range(len(a) - 1, top, -1):
-        x, y = x * p + a[i], y * p + b[i]
-    k = 0  # the top position has no denominator
-    keys: list[_Key] = []
-    for i in range(top, -1, -1):
-        x = (x * p + a[i]) % pn
-        y = (y * p + b[i]) % pn
-        keys.append((x, y, N, k))
-        k = N - 1
-        if len(keys) == _BATCH:
-            yield i + _BATCH - 1, keys
-            keys = []
-    yield len(keys) - 1, keys
-
-
 def davis_webb_evaluate(
     A: int,
     B: int,
@@ -754,10 +753,12 @@ def davis_webb_evaluate(
     Works on plain base-p digits padded to a common length of at least N:
     the leading bracket covers the top N digits, and each lower position
     contributes the bracket of its N-digit window over the bracket of the
-    (N-1)-digit window above it, its top N - 1 digits.  ``_fold`` values
-    each distinct window pair once a batch (``_digit_keys``).  An untraced
-    call returns (0, None) when the low 8N digits of A - B already borrow
-    N times, before any conversion.
+    (N-1)-digit window above it, its top N - 1 digits.  These are the
+    theorem's block quotients at width N over groups of one digit each, so
+    ``_fold`` takes their keys from ``_group_keys`` and values each
+    distinct window pair once a batch.  An untraced call returns (0, None)
+    when the low 8N digits of A - B already borrow N times, before any
+    conversion.
     """
     _check_pair(A, B)
     ensure_prime(p)
@@ -767,10 +768,9 @@ def davis_webb_evaluate(
         return 0, None
     a, b = _digit_pair(A, B, p, N)
     factors = [] if trace else None
-    m, unit = _fold(
-        p, N, lambda x, y, k: _dw_bracket(x, y, k, p, N),
-        a, b, range(len(a)), _digit_keys(a, b, p, N), factors,
-    )
+    bounds = range(len(a) + 1)  # one digit a group
+    keys = _group_keys(p, a, b, bounds, N)
+    m, unit = _fold(p, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), a, b, bounds, keys, factors)
     if m < 0:
         raise NegativeValuation("bracket product is not p-integral")
     residue = 0 if m >= N else p**m * unit % p**N
@@ -778,11 +778,23 @@ def davis_webb_evaluate(
     return residue, tr
 
 
-def _sides(windows: tuple, text: Callable[[tuple[int, ...]], str]) -> tuple[str, str | None]:
+# A formatter memoizes its lines, one for each distinct factor body, while
+# they repeat: it drops the memo when under a quarter of its first _PROBE
+# factors were hits, since where lines do not repeat the memo's keys and
+# stored lines cost more than they save.
+_PROBE = 1 << 10
+
+
+def _sides(
+    num_a: tuple[int, ...],
+    num_b: tuple[int, ...],
+    den_a: tuple[int, ...] | None,
+    den_b: tuple[int, ...] | None,
+    text: Callable[[tuple[int, ...]], str],
+) -> tuple[str, str | None]:
     """The "a/b" texts of a factor's numerator and denominator windows,
-    (num_a, num_b, den_a, den_b), the second None without a denominator;
-    each window read through ``text``."""
-    num_a, num_b, den_a, den_b = windows
+    the second None without a denominator; each window read through
+    ``text``."""
     num = f"{text(num_a)}/{text(num_b)}"
     if den_a is None:
         return num, None
@@ -797,12 +809,17 @@ def format_trace_text(trace: EvalTrace) -> str:
         lines.append(f"  {p}^{trace.m} divides the binomial; residue is 0")
     cap = p**N if trace.method == "davis-webb" else None
     wrap = "<{}>" if trace.method == "davis-webb" else "C({})"
-    # A trace repeats its windows and its factor bodies: format each once.
-    text = cache(_text)
+    text = cache(_text)  # windows repeat even where whole lines do not
 
-    @cache
-    def line(windows: tuple, num_value: ValuedUnit, den_value: ValuedUnit | None) -> str:
-        num, den = _sides(windows, text)
+    def build(
+        num_a: tuple,
+        num_b: tuple,
+        den_a: tuple | None,
+        den_b: tuple | None,
+        num_value: ValuedUnit,
+        den_value: ValuedUnit | None,
+    ) -> str:
+        num, den = _sides(num_a, num_b, den_a, den_b, text)
         head = wrap.format(num) + (f"/{wrap.format(den)}" if den else "")
         nv = num_value.value_mod()
         ints = str(nv % cap if cap else nv)
@@ -817,8 +834,11 @@ def format_trace_text(trace: EvalTrace) -> str:
             out += f" = {factored}"
         return out
 
-    for f in trace.factors:
-        lines.append(line((f.num_a, f.num_b, f.den_a, f.den_b), f.num_value, f.den_value))
+    line = cache(build)
+    for count, f in enumerate(trace.factors):
+        if count == _PROBE and line.cache_info().hits * 4 < _PROBE:
+            line = build
+        lines.append(line(f.num_a, f.num_b, f.den_a, f.den_b, f.num_value, f.den_value))
     if trace.factors:
         lines.append(f"  combined: {p}^{trace.m} * {trace.unit} (unit mod {p**trace.n})")
     lines.append(f"  result: {trace.residue} (mod {p**N})")
@@ -829,19 +849,29 @@ def format_trace_records(trace: EvalTrace) -> list[str]:
     """Machine-readable lines: one factor per line, then the result line."""
     text = cache(_text)  # as in format_trace_text
 
-    @cache
-    def tail(windows: tuple, valuation: int, unit: int, precision: int) -> str:
+    def build(
+        num_a: tuple,
+        num_b: tuple,
+        den_a: tuple | None,
+        den_b: tuple | None,
+        valuation: int,
+        unit: int,
+        precision: int,
+    ) -> str:
         # the line after its index
-        num, den = _sides(windows, text)
+        num, den = _sides(num_a, num_b, den_a, den_b, text)
         return (
             f"num_block={num} den_block={den or '-'} "
             f"val={valuation} unit={unit} prec={precision}"
         )
 
+    line = cache(build)  # as in format_trace_text
     lines = []
-    for f in trace.factors:
+    for count, f in enumerate(trace.factors):
+        if count == _PROBE and line.cache_info().hits * 4 < _PROBE:
+            line = build
         v = f.value
-        rest = tail((f.num_a, f.num_b, f.den_a, f.den_b), v.valuation, v.unit, v.precision)
+        rest = line(f.num_a, f.num_b, f.den_a, f.den_b, v.valuation, v.unit, v.precision)
         lines.append(f"index={f.index} {rest}")
     lines.append(f"result={trace.residue} modulus={trace.p ** trace.mod_exp}")
     return lines

@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from helpers import from_digits
@@ -584,6 +585,37 @@ class TestTraceFormatting:
         lines = format_trace_text(odd).splitlines()
         assert lines[1] == format_trace_text(tr).splitlines()[-3] != lines[2]
 
+    def test_line_memo_only_where_lines_repeat(self, monkeypatch):
+        # Past its first _PROBE factors a formatter keeps its line memo
+        # only if a quarter of them were repeats: then it builds each
+        # distinct line once, else each later factor's line.  The text is
+        # the same as with no memo at all.
+        rng = random.Random(23)
+        built = []
+        sides = engine._sides
+        monkeypatch.setattr(engine, "_sides", lambda *w: built.append(w) or sides(*w))
+        # The low half of the digits repeats the high half, which the walk
+        # reads first: at N = 8 no line of the probe repeats, but the lines
+        # of the low half repeat those of the high half.
+        half = [rng.randrange(3) for _ in range(engine._PROBE + 200)]
+        b_half = [rng.randrange(d + 1) for d in half]
+        A, B = from_digits(half + half + [1], 3), from_digits(b_half + b_half, 3)
+        for N in (3, 8):
+            tr = davis_webb_evaluate(A, B, 3, N)[1]
+            bodies = {tuple(_windows(f)) for f in tr.factors}
+            probed = {tuple(_windows(f)) for f in tr.factors[: engine._PROBE]}
+            built.clear()
+            shown = format_trace_text(tr), format_trace_records(tr)
+            if N == 3:
+                assert 4 * len(bodies) < len(tr.factors)
+                assert len(built) == 2 * len(bodies)
+            else:
+                assert 4 * len(probed) > 3 * engine._PROBE and len(bodies) < 0.6 * len(tr.factors)
+                assert len(built) == 2 * (len(probed) + len(tr.factors) - engine._PROBE)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "cache", lru_cache(maxsize=0))
+                assert shown == (format_trace_text(tr), format_trace_records(tr))
+
     def test_text_past_z_is_a_value_error(self):
         # a base-101 trace has digit 100 in its blocks; this was an IndexError
         _, tr = theorem_evaluate(100, 50, 101, 2)
@@ -735,7 +767,7 @@ class TestTraceWindows:
                 den = f"{_text(f.den_a)}/{_text(f.den_b)}" if f.den_a is not None else "-"
                 num = f"{_text(f.num_a)}/{_text(f.num_b)}"
                 assert line.startswith(f"index={f.index} num_block={num} den_block={den} ")
-        monkeypatch.setattr(engine, "cache", lambda f: f)  # no text memo
+        monkeypatch.setattr(engine, "cache", lru_cache(maxsize=0))  # no text or line memo
         assert shared == [(format_trace_text(tr), format_trace_records(tr)) for tr in traces]
 
 
