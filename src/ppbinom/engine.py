@@ -18,17 +18,17 @@
 All three track block values as (valuation, unit) pairs, ``p**valuation
 * unit`` with the unit held at a fixed precision, so nothing ever
 materializes the exact binomial.  A trace records them as ``ValuedUnit``.
-The block-quotient walks (the theorem's trace and fallback, Davis-Webb)
-key each position by its pair of windows (``_fold``): untraced, each
-distinct key of a batch of positions is valued once, its unit raised to
-its count; traced, the factors of a key share one body.
+The theorem's trace and fallback and Davis-Webb take one block-quotient
+walk (``_walk``), which keys each position by its pair of windows:
+untraced, each distinct key of a batch of positions is valued once, its
+unit raised to its count; traced, the factors of a key share one body.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import isqrt, prod
@@ -491,72 +491,6 @@ _BATCH = 1 << 14
 _Key = tuple[int, int, int, int]
 
 
-def _fold(
-    p: int,
-    width: int,
-    value: Callable[[int, int, int], tuple[int, int]],
-    a: tuple[int, ...],
-    b: tuple[int, ...],
-    lows: Sequence[int],
-    batches: Iterable[tuple[int, list[_Key]]],
-    factors: list[Factor] | None = None,
-) -> tuple[int, int]:
-    """(valuation, unit mod p**width) of a block-quotient product.
-
-    ``batches`` yields (i, keys), the keys of positions i, i - 1, .. in
-    lists of at most ``_BATCH``, from the top position down to 0, and
-    ``value(av, bv, digits)`` maps a block's A and B values and digit
-    count to its (valuation, unit) pair.  Untraced, each distinct key of a
-    list is valued once and enters the product raised to the number of
-    times it occurs; units are accumulated apart and divided once.  Given
-    a list, the fold appends one Factor a position instead, and the
-    factors of a key share the body of its first, at position j: its
-    windows, the digits of a and b from lows[j] (zero-padded past their
-    end), interned across the walk, and its three values, the last of
-    which enters the product.  The fold keeps that first Factor, not a
-    tuple of its body, so a walk whose keys do not repeat keeps no
-    container a key beyond its factors.
-    """
-    pe = p**width
-    v = 0
-    num = den = 1
-    bodies: dict[_Key, Factor] = {}
-    windows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct window
-    for i, keys in batches:
-        if factors is None:
-            for key, times in Counter(keys).items():
-                nv, nu, dv, du = _quotient(p, value, key)
-                v += times * (nv - dv)
-                num = num * pow(nu, times, pe) % pe
-                den = den * pow(du, times, pe) % pe
-            continue
-        for j, key in zip(range(i, -1, -1), keys):
-            f = bodies.get(key)
-            if f is not None:
-                f = Factor(j, f.num_a, f.num_b, f.den_a, f.den_b, f.num_value, f.den_value, f.value)
-            else:
-                nv, nu, dv, du = _quotient(p, value, key)
-                _, _, digits, k = key
-                lo = lows[j]
-                pad = (0,) * (lo + digits - len(a))  # only a top block short of the width
-                na, nb = a[lo : lo + digits] + pad, b[lo : lo + digits] + pad
-                na, nb = windows.setdefault(na, na), windows.setdefault(nb, nb)
-                nvu = _vu(p, nv, nu, width)
-                if k:
-                    q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
-                    da, db = na[digits - k :], nb[digits - k :]
-                    da, db = windows.setdefault(da, da), windows.setdefault(db, db)
-                    f = Factor(j, na, nb, da, db, nvu, _vu(p, dv, du, width), q)
-                else:
-                    f = Factor(j, na, nb, None, None, nvu, None, nvu)
-                bodies[key] = f
-            factors.append(f)
-            q = f.value
-            v += q.valuation
-            num = num * q.unit % pe
-    return v, num * pow(den, -1, pe) % pe
-
-
 def _quotient(
     p: int, value: Callable[[int, int, int], tuple[int, int]], key: _Key
 ) -> tuple[int, int, int, int]:
@@ -570,18 +504,41 @@ def _quotient(
     return (nv, nu, *value(av // s, bv // s, k))
 
 
-def _group_keys(
-    p: int, a: tuple[int, ...], b: tuple[int, ...], bounds: Sequence[int], width: int
-) -> Iterator[tuple[int, list[_Key]]]:
-    """The keys of a block-quotient walk over the groups of a and b,
-    group i starting at digit bounds[i], in ``_fold``'s batches.
+def _walk(
+    p: int,
+    a: tuple[int, ...],
+    b: tuple[int, ...],
+    bounds: Sequence[int],
+    width: int,
+    value: Callable[[int, int, int], tuple[int, int]],
+    factors: list[Factor] | None = None,
+) -> tuple[int, int]:
+    """(valuation, unit mod p**width) of the block-quotient product over
+    the groups of a and b, group i starting at digit bounds[i].
 
     Position top covers groups top and up; each lower position i the
     blocks of groups i .. i+width-1 over i+1 .. i+width-1 (none at width
-    1).  The block values roll: the denominator at i is the running value
-    cut to the digits of its groups, and the numerator folds group i's
-    digits in below it, so each position reads one group.
+    1), and ``value(av, bv, digits)`` maps a block's A and B values and
+    digit count to its (valuation, unit) pair.  The block values roll: the
+    denominator at i is the running value cut to the digits of its groups,
+    and the numerator folds group i's digits in below it, so each position
+    reads one group.  Untraced, the keys gather ``_BATCH`` positions at a
+    time, and each distinct key of a batch is valued once and enters the
+    product raised to the number of times it occurs; units are
+    accumulated apart and divided once.  Given a list, the walk appends
+    one Factor a position instead, and the factors of a key share the body
+    of its first: its windows, the position's digits of a and b
+    (zero-padded past their end), interned across the walk, and its three
+    values, the last of which enters the product.  The walk keeps that
+    first Factor, not a tuple of its body, so a walk whose keys do not
+    repeat keeps no container a key beyond its factors.
     """
+    pe = p**width
+    v = 0
+    num = den = 1
+    keys: list[_Key] = []
+    bodies: dict[_Key, Factor] = {}
+    windows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct window
     top = max(len(bounds) - 1 - width, 0)
     # zero groups above the top: only where the expansion is shorter than width
     pad = width - (len(bounds) - 1 - top)
@@ -589,7 +546,6 @@ def _group_keys(
     hi = bounds[-1]
     av = bv = k = 0
     pk = 1
-    keys: list[_Key] = []
     for i in range(top, -1, -1):
         if i < top:
             if bounds[i + width] - hi != k:
@@ -603,25 +559,40 @@ def _group_keys(
             hi -= 1
             av = a[hi] + p * av
             bv = b[hi] + p * bv
-        keys.append((av, bv, digits, k))
+        key = (av, bv, digits, k)
         pad = 0
-        if len(keys) == _BATCH:
-            yield i + _BATCH - 1, keys
-            keys = []
-    yield len(keys) - 1, keys
-
-
-def _walk(e: PseudoExpansion, width: int, factors: list[Factor] | None = None) -> tuple[int, int]:
-    """(valuation, unit mod p**width) of the theorem's block-quotient
-    product over e's groups, each block valued by ``_binom_vu``; given a
-    list, one Factor a position, its windows ``block(e, i, width)`` and
-    ``block(e, i + 1, width - 1)``.  Traces and the untraced theorem
-    where its unit factorials are not worth their set-up (``_source``)
-    take this walk.
-    """
-    p, a, b, bounds = e.p, e.a_digits, e.b_digits, e.bounds
-    keys = _group_keys(p, a, b, bounds, width)
-    return _fold(p, width, lambda x, y, k: _binom_vu(x, y, p, width), a, b, bounds, keys, factors)
+        if factors is None:
+            keys.append(key)
+            if len(keys) == _BATCH or not i:
+                for key, times in Counter(keys).items():
+                    nv, nu, dv, du = _quotient(p, value, key)
+                    v += times * (nv - dv)
+                    num = num * pow(nu, times, pe) % pe
+                    den = den * pow(du, times, pe) % pe
+                keys = []
+            continue
+        f = bodies.get(key)
+        if f is not None:
+            f = Factor(i, f.num_a, f.num_b, f.den_a, f.den_b, f.num_value, f.den_value, f.value)
+        else:
+            nv, nu, dv, du = _quotient(p, value, key)
+            zeros = (0,) * (lo + digits - len(a))  # only a top block short of the width
+            na, nb = a[lo : lo + digits] + zeros, b[lo : lo + digits] + zeros
+            na, nb = windows.setdefault(na, na), windows.setdefault(nb, nb)
+            nvu = _vu(p, nv, nu, width)
+            if k:
+                q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
+                da, db = na[digits - k :], nb[digits - k :]
+                da, db = windows.setdefault(da, da), windows.setdefault(db, db)
+                f = Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, width), q)
+            else:
+                f = Factor(i, na, nb, None, None, nvu, None, nvu)
+            bodies[key] = f
+        factors.append(f)
+        q = f.value
+        v += q.valuation
+        num = num * q.unit % pe
+    return v, num * pow(den, -1, pe) % pe
 
 
 def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
@@ -635,7 +606,8 @@ def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
     if n < 1:
         raise ValueError("block width n must be >= 1")
     factors: list[Factor] = []
-    _walk(e, n, factors)
+    p = e.p
+    _walk(p, e.a_digits, e.b_digits, e.bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
     return factors
 
 
@@ -687,13 +659,13 @@ def theorem_evaluate(
         tr = EvalTrace("theorem", p, N, 0, m, 1, 0, ()) if trace else None
         return 0, tr
     n = N - m
-    a, b = expansion.a_digits, expansion.b_digits
+    a, b, bounds = expansion.a_digits, expansion.b_digits, expansion.bounds
     factors = [] if trace else None
     # The walk's loop takes under 4 min(B, A - B) steps: min(b, c) a block,
     # where the blocks' B values sum to under 3 B and C values to under 3 C.
     t = None if trace else _source(A, p, n, 4 * min(B, A - B))
     if t is None:
-        v, unit = _walk(expansion, n, factors)
+        v, unit = _walk(p, a, b, bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
         assert v == _borrows(a, b), "factor valuations disagree with the borrow count"
     else:
         v, unit = _granville(a, b, p, n, t)
@@ -755,10 +727,9 @@ def davis_webb_evaluate(
     contributes the bracket of its N-digit window over the bracket of the
     (N-1)-digit window above it, its top N - 1 digits.  These are the
     theorem's block quotients at width N over groups of one digit each, so
-    ``_fold`` takes their keys from ``_group_keys`` and values each
-    distinct window pair once a batch.  An untraced call returns (0, None)
-    when the low 8N digits of A - B already borrow N times, before any
-    conversion.
+    they take the theorem's ``_walk``, which values each distinct window
+    pair once.  An untraced call returns (0, None) when the low 8N digits
+    of A - B already borrow N times, before any conversion.
     """
     _check_pair(A, B)
     ensure_prime(p)
@@ -769,8 +740,7 @@ def davis_webb_evaluate(
     a, b = _digit_pair(A, B, p, N)
     factors = [] if trace else None
     bounds = range(len(a) + 1)  # one digit a group
-    keys = _group_keys(p, a, b, bounds, N)
-    m, unit = _fold(p, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), a, b, bounds, keys, factors)
+    m, unit = _walk(p, a, b, bounds, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
     if m < 0:
         raise NegativeValuation("bracket product is not p-integral")
     residue = 0 if m >= N else p**m * unit % p**N

@@ -47,14 +47,32 @@ def granville(a, b, p, e, t):
     return engine._granville(*_digit_pair(a, b, p), p, e, t)
 
 
-def _batch_edge_pairs(rng, p, width):
-    """(positions, A, B) for seeded m = 0 pairs whose walks at ``width``
-    have one batch - 1, one batch and one batch + 1 positions: every digit
-    is its own group, so a pair of d digits has d - width + 1 positions in
-    either walk."""
+def _batch_edge_pairs(rng, p, width, long_groups=False):
+    """(positions, A, B) for seeded pairs whose walks at ``width`` have one
+    batch - 1, one batch and one batch + 1 positions: a pair of g groups
+    has g - width + 1 positions.  Every digit is its own group (m = 0), or
+    with ``long_groups`` every group spans 2 or 3 digits, borrowing out of
+    all but its top digit, so the groups that straddle the batch edge
+    change the denominator's digit count."""
     for positions in (engine._BATCH - 1, engine._BATCH, engine._BATCH + 1):
-        ad = [rng.randrange(p) for _ in range(positions + width - 2)] + [1]
-        bd = [rng.randrange(d + 1) for d in ad]
+        groups = positions + width - 1
+        if not long_groups:
+            ad = [rng.randrange(p) for _ in range(groups - 1)] + [1]
+            bd = [rng.randrange(d + 1) for d in ad]
+            yield positions, from_digits(ad, p), from_digits(bd, p)
+            continue
+        ad, bd = [], []
+        for _ in range(groups):
+            y = rng.randrange(1, p)  # the low digit borrows: x < y
+            ad.append(rng.randrange(y))
+            bd.append(y)
+            for _ in range(rng.randrange(2)):  # a middle digit borrows: x <= y
+                y = rng.randrange(p)
+                ad.append(rng.randrange(y + 1))
+                bd.append(y)
+            x = rng.randrange(1, p)  # the top digit absorbs the borrow: x > y
+            ad.append(x)
+            bd.append(rng.randrange(x))
         yield positions, from_digits(ad, p), from_digits(bd, p)
 
 
@@ -415,16 +433,22 @@ class TestTheoremEvaluate:
         # The untraced walk (the fallback where unit factorials are not
         # worth their set-up) folds the same product as the traced one,
         # across the batch edge, where windows repeat (p = 3) and where
-        # they are all distinct (p = 2, n = 14); both match the pass.
+        # they are all distinct (p = 2, n = 14), and where groups of 2 or
+        # 3 digits straddle it (m = borrows, N = m + n); both match the pass.
         rng = random.Random(23)
-        for p, n in ((3, 3), (2, 14)):
-            for positions, A, B in _batch_edge_pairs(rng, p, n):
+        for p, n, long_groups in ((3, 3, False), (2, 14, False), (3, 3, True), (2, 2, True)):
+            for positions, A, B in _batch_edge_pairs(rng, p, n, long_groups):
                 e = decompose(A, B, p)
-                res, tr = theorem_evaluate(A, B, p, n, expansion=e)
+                m = pseudo_valuation(e)
+                assert (m > 0) == long_groups
+                res, tr = theorem_evaluate(A, B, p, m + n, expansion=e)
+                assert (tr.m, tr.n) == (m, n)
                 assert [f.index for f in tr.factors] == list(range(positions - 1, -1, -1))
                 _assert_windows_are_blocks(tr, e, n)
-                assert engine._walk(e, n) == (0, res)
-                assert theorem_evaluate(A, B, p, n, trace=False) == (res, None)
+                value = lambda x, y, k: engine._binom_vu(x, y, p, n)
+                walk = engine._walk(p, e.a_digits, e.b_digits, e.bounds, n, value)
+                assert walk == (m, tr.unit) and res == p**m * tr.unit % p ** (m + n)
+                assert theorem_evaluate(A, B, p, m + n, trace=False) == (res, None)
 
     def test_expansion_reuse(self):
         e = decompose(A3, B3, 3)
