@@ -21,17 +21,20 @@ materializes the exact binomial.  A trace records them as ``ValuedUnit``.
 The theorem's trace and fallback and Davis-Webb take one block-quotient
 walk (``_walk``), which keys each position by its pair of windows:
 untraced, each distinct key of a batch of positions is valued once, its
-unit raised to its count; traced, the factors of a key share one body.
+unit raised to its count, and where every group is one digit a batch's
+keys are rolled column-wise; traced, the factors of a key share one body.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import repeat
 from math import isqrt, prod
+from typing import NamedTuple
 
 from .digits import _borrows, _digit_pair, _digits_of, _text, ensure_prime
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
@@ -443,13 +446,13 @@ def _binom_vu(a: int, b: int, p: int, e: int) -> tuple[int, int]:
     return exact_binom_mod(a, b, p, e)
 
 
-@dataclass(frozen=True, slots=True)
-class Factor:
+class Factor(NamedTuple):
     """One factor of an evaluation product.
 
     ``index`` is the start position of the numerator block; the
     windows are little-endian digit tuples, and the denominator's are
-    absent on the leading factor and at width 1.
+    absent on the leading factor and at width 1.  A named tuple, so
+    immutable and built in C: a traced walk builds one a position.
     """
 
     index: int
@@ -504,6 +507,22 @@ def _quotient(
     return (nv, nu, *value(av // s, bv // s, k))
 
 
+def _fold(
+    p: int, value: Callable[[int, int, int], tuple[int, int]], keys: Iterable[_Key], pe: int
+) -> tuple[int, int]:
+    """(valuation, unit mod pe) of the quotients of a batch of keys: each
+    distinct key is valued once and enters raised to the number of times
+    it occurs; units are accumulated apart and divided once."""
+    v = 0
+    num = den = 1
+    for key, times in Counter(keys).items():
+        nv, nu, dv, du = _quotient(p, value, key)
+        v += times * (nv - dv)
+        num = num * pow(nu, times, pe) % pe
+        den = den * pow(du, times, pe) % pe
+    return v, num * pow(den, -1, pe) % pe
+
+
 def _walk(
     p: int,
     a: tuple[int, ...],
@@ -522,24 +541,40 @@ def _walk(
     digit count to its (valuation, unit) pair.  The block values roll: the
     denominator at i is the running value cut to the digits of its groups,
     and the numerator folds group i's digits in below it, so each position
-    reads one group.  Untraced, the keys gather ``_BATCH`` positions at a
-    time, and each distinct key of a batch is valued once and enters the
-    product raised to the number of times it occurs; units are
-    accumulated apart and divided once.  Given a list, the walk appends
-    one Factor a position instead, and the factors of a key share the body
-    of its first: its windows, the position's digits of a and b
+    reads one group.  Untraced, the keys are folded ``_BATCH`` positions at
+    a time (``_fold``).  Where every group is one digit (Davis-Webb, and
+    the theorem at m = 0), every lower key has the same digit counts, so
+    the untraced walk rolls a batch's windows column-wise instead: one
+    list comprehension a side, w = digit + p * (w mod p**(width-1)), down
+    from the top window, which is valued alone.  Given a list, the walk
+    appends one Factor a position instead, and the factors of a key share
+    the body of its first: its windows, the position's digits of a and b
     (zero-padded past their end), interned across the walk, and its three
     values, the last of which enters the product.  The walk keeps that
     first Factor, not a tuple of its body, so a walk whose keys do not
     repeat keeps no container a key beyond its factors.
     """
     pe = p**width
+    top = max(len(bounds) - 1 - width, 0)
+    if factors is None and bounds[-1] == len(bounds) - 1:
+        u = t = 0
+        for x, y in zip(reversed(a[top:]), reversed(b[top:])):
+            u, t = x + p * u, y + p * t
+        v, num = value(u, t, width)  # the top position: no denominator
+        pk = p ** (width - 1)
+        for hi in range(top, 0, -_BATCH):
+            lo = max(hi - _BATCH, 0)
+            wa = [u := x + p * (u % pk) for x in reversed(a[lo:hi])]
+            wb = [t := y + p * (t % pk) for y in reversed(b[lo:hi])]
+            dv, q = _fold(p, value, zip(wa, wb, repeat(width), repeat(width - 1)), pe)
+            v += dv
+            num = num * q % pe
+        return v, num
     v = 0
-    num = den = 1
+    num = 1
     keys: list[_Key] = []
     bodies: dict[_Key, Factor] = {}
     windows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct window
-    top = max(len(bounds) - 1 - width, 0)
     # zero groups above the top: only where the expansion is shorter than width
     pad = width - (len(bounds) - 1 - top)
     # hi: the digit offset above group i; k: the denominator's digit count.
@@ -564,16 +599,14 @@ def _walk(
         if factors is None:
             keys.append(key)
             if len(keys) == _BATCH or not i:
-                for key, times in Counter(keys).items():
-                    nv, nu, dv, du = _quotient(p, value, key)
-                    v += times * (nv - dv)
-                    num = num * pow(nu, times, pe) % pe
-                    den = den * pow(du, times, pe) % pe
+                dv, q = _fold(p, value, keys, pe)
+                v += dv
+                num = num * q % pe
                 keys = []
             continue
         f = bodies.get(key)
         if f is not None:
-            f = Factor(i, f.num_a, f.num_b, f.den_a, f.den_b, f.num_value, f.den_value, f.value)
+            f = Factor(i, *f[1:])
         else:
             nv, nu, dv, du = _quotient(p, value, key)
             zeros = (0,) * (lo + digits - len(a))  # only a top block short of the width
@@ -592,7 +625,7 @@ def _walk(
         q = f.value
         v += q.valuation
         num = num * q.unit % pe
-    return v, num * pow(den, -1, pe) % pe
+    return v, num
 
 
 def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:

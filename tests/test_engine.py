@@ -49,13 +49,15 @@ def granville(a, b, p, e, t):
 
 def _batch_edge_pairs(rng, p, width, long_groups=False):
     """(positions, A, B) for seeded pairs whose walks at ``width`` have one
-    batch - 1, one batch and one batch + 1 positions: a pair of g groups
-    has g - width + 1 positions.  Every digit is its own group (m = 0), or
-    with ``long_groups`` every group spans 2 or 3 digits, borrowing out of
-    all but its top digit, so the groups that straddle the batch edge
-    change the denominator's digit count."""
-    for positions in (engine._BATCH - 1, engine._BATCH, engine._BATCH + 1):
-        groups = positions + width - 1
+    position (zero-padded, and not), two, one batch - 1, one batch and one
+    batch + 1 positions: a pair of g groups has g - width + 1 positions,
+    or one when g < width.  Every digit is its own group (m = 0), or with
+    ``long_groups`` every group spans 2 or 3 digits, borrowing out of all
+    but its top digit, so the groups that straddle the batch edge change
+    the denominator's digit count."""
+    edge = engine._BATCH + width - 1
+    for groups in (max(width // 2, 1), width, width + 1, edge - 1, edge, edge + 1):
+        positions = max(groups - width + 1, 1)
         if not long_groups:
             ad = [rng.randrange(p) for _ in range(groups - 1)] + [1]
             bd = [rng.randrange(d + 1) for d in ad]
@@ -433,10 +435,13 @@ class TestTheoremEvaluate:
         # The untraced walk (the fallback where unit factorials are not
         # worth their set-up) folds the same product as the traced one,
         # across the batch edge, where windows repeat (p = 3) and where
-        # they are all distinct (p = 2, n = 14), and where groups of 2 or
-        # 3 digits straddle it (m = borrows, N = m + n); both match the pass.
+        # they are all distinct (p = 2, n = 14), at width 1, and where
+        # groups of 2 or 3 digits straddle it (m = borrows, N = m + n);
+        # both match the pass.  At m = 0 the untraced walk rolls its keys
+        # column-wise, otherwise group by group.
         rng = random.Random(23)
-        for p, n, long_groups in ((3, 3, False), (2, 14, False), (3, 3, True), (2, 2, True)):
+        cases = ((3, 3, False), (2, 14, False), (3, 1, False), (3, 3, True), (2, 2, True), (5, 1, True))
+        for p, n, long_groups in cases:
             for positions, A, B in _batch_edge_pairs(rng, p, n, long_groups):
                 e = decompose(A, B, p)
                 m = pseudo_valuation(e)
@@ -545,14 +550,18 @@ class TestDavisWebbEvaluate:
                     want = math.comb(a, b) % mod
                     assert davis_webb_evaluate(a, b, p, N, trace=False)[0] == want
         # untraced against traced across the batch edge, where windows
-        # repeat (p = 3) and where they are all distinct (p = 2, N = 14)
+        # repeat (p = 3), where they are all distinct (p = 2, N = 14) and
+        # at width 1; the untraced walk rolls its keys column-wise
         rng = random.Random(23)
-        for p, N in ((3, 3), (2, 14)):
+        for p, N in ((3, 3), (2, 14), (3, 1)):
             for positions, A, B in _batch_edge_pairs(rng, p, N):
                 res, tr = davis_webb_evaluate(A, B, p, N)
                 assert [f.index for f in tr.factors] == list(range(positions - 1, -1, -1))
                 a, b = _digit_pair(A, B, p, N)
-                _assert_windows_are_blocks(tr, PseudoExpansion(p, a, b, range(len(a) + 1)), N)
+                bounds = range(len(a) + 1)
+                _assert_windows_are_blocks(tr, PseudoExpansion(p, a, b, bounds), N)
+                value = lambda x, y, k: engine._dw_bracket(x, y, k, p, N)
+                assert engine._walk(p, a, b, bounds, N, value) == (tr.m, tr.unit)
                 assert davis_webb_evaluate(A, B, p, N, trace=False) == (res, None)
                 assert res == theorem_evaluate(A, B, p, N, trace=False)[0]
 
@@ -603,7 +612,11 @@ class TestTraceFormatting:
         assert len(tails) < len(tr.factors) // 2
         f = tr.factors[-1]
         other = ValuedUnit(3, 5, 1, 2)  # no 2-digit window has valuation 5
-        odd = replace(tr, factors=(f, replace(f, index=7, num_value=other, value=other)))
+        odd = replace(tr, factors=(f, f._replace(index=7, num_value=other, value=other)))
+        # the record is as immutable as a frozen dataclass, and hashable
+        assert hash(f._replace()) == hash(f)
+        with pytest.raises(AttributeError):
+            f.index = 7
         (_, first), (_, second) = (line.split(" ", 1) for line in format_trace_records(odd)[:2])
         assert first == tails[tuple(_windows(f))] != second
         lines = format_trace_text(odd).splitlines()
