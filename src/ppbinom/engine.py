@@ -19,19 +19,19 @@ All three track block values as (valuation, unit) pairs, ``p**valuation
 * unit`` with the unit held at a fixed precision, so nothing ever
 materializes the exact binomial.  A trace records them as ``ValuedUnit``.
 The theorem's trace and fallback and Davis-Webb take one block-quotient
-walk (``_walk``), which keys each position by its pair of windows:
-untraced, each distinct key of a batch of positions is valued once, its
-unit raised to its count, and where every group is one digit a batch's
-keys are rolled column-wise; traced, the factors of a key share one body.
+walk (``_walk``), which keys each position by its pair of windows, rolled
+column-wise where every group is one digit: each distinct key of a batch
+of positions is valued once, its unit raised to its count.  A trace
+keeps each distinct key's factor body once and one body id a position.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import repeat
 from math import isqrt, prod
 from typing import NamedTuple
@@ -451,8 +451,10 @@ class Factor(NamedTuple):
 
     ``index`` is the start position of the numerator block; the
     windows are little-endian digit tuples, and the denominator's are
-    absent on the leading factor and at width 1.  A named tuple, so
-    immutable and built in C: a traced walk builds one a position.
+    absent on the leading factor and at width 1.  The fields after
+    ``index`` are the factor's body, which a trace keeps once for each
+    distinct body; a named tuple, so immutable and built in C from an
+    index and a body on demand.
     """
 
     index: int
@@ -465,12 +467,24 @@ class Factor(NamedTuple):
     value: ValuedUnit
 
 
+_Body = tuple  # a factor body: a Factor's fields after its index
+
+
+def _factors(bodies: Sequence[_Body], ids: Sequence[int]) -> tuple[Factor, ...]:
+    """The factors of a walk whose position top - j has body ids[j]."""
+    top = len(ids) - 1
+    return tuple(Factor(top - j, *bodies[d]) for j, d in enumerate(ids))
+
+
 @dataclass(frozen=True, slots=True)
 class EvalTrace:
-    """Ordered factors plus the bookkeeping that turns them into a residue.
+    """Factor bodies plus the bookkeeping that turns them into a residue.
 
-    The factor product is p**m times ``unit``, a unit mod p**n (1 when the
-    theorem path short-circuits at m >= N and forms no factor).
+    ``bodies`` holds each distinct factor body once, in first-seen order,
+    and ``ids`` one body id a position, top position first; ``factors``
+    joins them.  The factor product is p**m times ``unit``, a unit mod
+    p**n (1 when the theorem path short-circuits at m >= N and forms no
+    factor).
     """
 
     method: str
@@ -480,7 +494,13 @@ class EvalTrace:
     m: int
     unit: int
     residue: int
-    factors: tuple[Factor, ...]
+    bodies: tuple[_Body, ...]
+    ids: tuple[int, ...]
+
+    @property
+    def factors(self) -> tuple[Factor, ...]:
+        """The factors, most significant first."""
+        return _factors(self.bodies, self.ids)
 
 
 # A walk folds its positions this many at a time: a batch tallies most
@@ -508,73 +528,49 @@ def _quotient(
 
 
 def _fold(
-    p: int, value: Callable[[int, int, int], tuple[int, int]], keys: Iterable[_Key], pe: int
+    pe: int, counts: Counter, quotient: Callable[[Hashable], tuple[int, int, int, int]]
 ) -> tuple[int, int]:
-    """(valuation, unit mod pe) of the quotients of a batch of keys: each
-    distinct key is valued once and enters raised to the number of times
-    it occurs; units are accumulated apart and divided once."""
+    """(valuation, unit mod pe) of a product of quotients: each distinct
+    item of ``counts`` is valued once, as (nv, nu, dv, du) by ``quotient``,
+    and enters raised to its count; units are accumulated apart and
+    divided once."""
     v = 0
     num = den = 1
-    for key, times in Counter(keys).items():
-        nv, nu, dv, du = _quotient(p, value, key)
+    for item, times in counts.items():
+        nv, nu, dv, du = quotient(item)
         v += times * (nv - dv)
         num = num * pow(nu, times, pe) % pe
         den = den * pow(du, times, pe) % pe
     return v, num * pow(den, -1, pe) % pe
 
 
-def _walk(
-    p: int,
-    a: tuple[int, ...],
-    b: tuple[int, ...],
-    bounds: Sequence[int],
-    width: int,
-    value: Callable[[int, int, int], tuple[int, int]],
-    factors: list[Factor] | None = None,
-) -> tuple[int, int]:
-    """(valuation, unit mod p**width) of the block-quotient product over
-    the groups of a and b, group i starting at digit bounds[i].
+def _keys(
+    p: int, a: tuple[int, ...], b: tuple[int, ...], bounds: Sequence[int], width: int, top: int
+) -> Iterator[Iterable[_Key]]:
+    """The walk's position keys, top position first, in batches of at most
+    ``_BATCH``.
 
-    Position top covers groups top and up; each lower position i the
-    blocks of groups i .. i+width-1 over i+1 .. i+width-1 (none at width
-    1), and ``value(av, bv, digits)`` maps a block's A and B values and
-    digit count to its (valuation, unit) pair.  The block values roll: the
-    denominator at i is the running value cut to the digits of its groups,
-    and the numerator folds group i's digits in below it, so each position
-    reads one group.  Untraced, the keys are folded ``_BATCH`` positions at
-    a time (``_fold``).  Where every group is one digit (Davis-Webb, and
-    the theorem at m = 0), every lower key has the same digit counts, so
-    the untraced walk rolls a batch's windows column-wise instead: one
-    list comprehension a side, w = digit + p * (w mod p**(width-1)), down
-    from the top window, which is valued alone.  Given a list, the walk
-    appends one Factor a position instead, and the factors of a key share
-    the body of its first: its windows, the position's digits of a and b
-    (zero-padded past their end), interned across the walk, and its three
-    values, the last of which enters the product.  The walk keeps that
-    first Factor, not a tuple of its body, so a walk whose keys do not
-    repeat keeps no container a key beyond its factors.
+    The block values roll: the denominator at i is the running value cut
+    to the digits of its groups, and the numerator folds group i's digits
+    in below it, so each position reads one group.  Where every group is
+    one digit (Davis-Webb, and the theorem at m = 0), every lower key has
+    the same digit counts, so a batch's windows roll column-wise instead:
+    one list comprehension a side, w = digit + p * (w mod p**(width-1)),
+    down from the top window, which is its own batch.
     """
-    pe = p**width
-    top = max(len(bounds) - 1 - width, 0)
-    if factors is None and bounds[-1] == len(bounds) - 1:
+    if bounds[-1] == len(bounds) - 1:
         u = t = 0
         for x, y in zip(reversed(a[top:]), reversed(b[top:])):
             u, t = x + p * u, y + p * t
-        v, num = value(u, t, width)  # the top position: no denominator
+        yield ((u, t, width, 0),)  # the top position: no denominator
         pk = p ** (width - 1)
         for hi in range(top, 0, -_BATCH):
             lo = max(hi - _BATCH, 0)
             wa = [u := x + p * (u % pk) for x in reversed(a[lo:hi])]
             wb = [t := y + p * (t % pk) for y in reversed(b[lo:hi])]
-            dv, q = _fold(p, value, zip(wa, wb, repeat(width), repeat(width - 1)), pe)
-            v += dv
-            num = num * q % pe
-        return v, num
-    v = 0
-    num = 1
+            yield zip(wa, wb, repeat(width), repeat(width - 1))
+        return
     keys: list[_Key] = []
-    bodies: dict[_Key, Factor] = {}
-    windows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct window
     # zero groups above the top: only where the expansion is shorter than width
     pad = width - (len(bounds) - 1 - top)
     # hi: the digit offset above group i; k: the denominator's digit count.
@@ -590,41 +586,77 @@ def _walk(
             bv %= pk
         lo = bounds[i]
         digits = hi - lo + k + pad
+        pad = 0
         while hi > lo:
             hi -= 1
             av = a[hi] + p * av
             bv = b[hi] + p * bv
-        key = (av, bv, digits, k)
-        pad = 0
-        if factors is None:
-            keys.append(key)
-            if len(keys) == _BATCH or not i:
-                dv, q = _fold(p, value, keys, pe)
-                v += dv
-                num = num * q % pe
-                keys = []
-            continue
-        f = bodies.get(key)
-        if f is not None:
-            f = Factor(i, *f[1:])
+        keys.append((av, bv, digits, k))
+        if len(keys) == _BATCH or not i:
+            yield keys
+            keys = []
+
+
+def _walk(
+    p: int,
+    a: tuple[int, ...],
+    b: tuple[int, ...],
+    bounds: Sequence[int],
+    width: int,
+    value: Callable[[int, int, int], tuple[int, int]],
+    trace: tuple[list[_Body], list[int]] | None = None,
+) -> tuple[int, int]:
+    """(valuation, unit mod p**width) of the block-quotient product over
+    the groups of a and b, group i starting at digit bounds[i].
+
+    Position top covers groups top and up; each lower position i the
+    blocks of groups i .. i+width-1 over i+1 .. i+width-1 (none at width
+    1), and ``value(av, bv, digits)`` maps a block's A and B values and
+    digit count to its (valuation, unit) pair.  Each position is keyed by
+    its numerator block (``_keys``), and the keys of a batch are tallied:
+    each distinct one is valued once (``_fold``).  Given a pair of lists,
+    the walk also records the trace in them: one body a distinct key, in
+    first-seen order, and one body id a position, and it folds each batch
+    over its ids' counts.  A body is built at its key's first position:
+    its windows, that position's digits of a and b (zero-padded past
+    their end), interned across the walk, and its three values, the last
+    of which is the factor's.
+    """
+    pe = p**width
+    top = max(len(bounds) - 1 - width, 0)
+    v, num = 0, 1
+    seen: dict[_Key, int] = {}  # each distinct key's body id
+    quotients: list[tuple[int, int, int, int]] = []  # each body's (nv, nu, dv, du)
+    windows: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct window
+    for batch in _keys(p, a, b, bounds, width, top):
+        if trace is None:
+            counts, quotient = Counter(batch), partial(_quotient, p, value)
         else:
-            nv, nu, dv, du = _quotient(p, value, key)
-            zeros = (0,) * (lo + digits - len(a))  # only a top block short of the width
-            na, nb = a[lo : lo + digits] + zeros, b[lo : lo + digits] + zeros
-            na, nb = windows.setdefault(na, na), windows.setdefault(nb, nb)
-            nvu = _vu(p, nv, nu, width)
-            if k:
-                q = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
-                da, db = na[digits - k :], nb[digits - k :]
-                da, db = windows.setdefault(da, da), windows.setdefault(db, db)
-                f = Factor(i, na, nb, da, db, nvu, _vu(p, dv, du, width), q)
-            else:
-                f = Factor(i, na, nb, None, None, nvu, None, nvu)
-            bodies[key] = f
-        factors.append(f)
-        q = f.value
-        v += q.valuation
-        num = num * q.unit % pe
+            batch = list(batch)
+            got = [seen.setdefault(key, len(seen)) for key in batch]
+            j = 0
+            for d in range(len(quotients), len(seen)):
+                j = got.index(d, j)  # the new key's first position in the batch
+                lo, (_, _, digits, k) = bounds[top - j], batch[j]
+                nv, nu, dv, du = q = _quotient(p, value, batch[j])
+                zeros = (0,) * (lo + digits - len(a))  # only a top block short of the width
+                na, nb = a[lo : lo + digits] + zeros, b[lo : lo + digits] + zeros
+                na, nb = windows.setdefault(na, na), windows.setdefault(nb, nb)
+                nvu = _vu(p, nv, nu, width)
+                if k:
+                    da, db = na[digits - k :], nb[digits - k :]
+                    da, db = windows.setdefault(da, da), windows.setdefault(db, db)
+                    fv = _vu(p, nv - dv, nu * pow(du, -1, pe) % pe, width)
+                    trace[0].append((na, nb, da, db, nvu, _vu(p, dv, du, width), fv))
+                else:
+                    trace[0].append((na, nb, None, None, nvu, None, nvu))
+                quotients.append(q)
+            trace[1].extend(got)
+            top -= len(got)  # the next batch's top position
+            counts, quotient = Counter(got), quotients.__getitem__
+        dv, q = _fold(pe, counts, quotient)
+        v += dv
+        num = num * q % pe
     return v, num
 
 
@@ -638,10 +670,10 @@ def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
     """
     if n < 1:
         raise ValueError("block width n must be >= 1")
-    factors: list[Factor] = []
+    keyed: tuple[list[_Body], list[int]] = ([], [])
     p = e.p
-    _walk(p, e.a_digits, e.b_digits, e.bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
-    return factors
+    _walk(p, e.a_digits, e.b_digits, e.bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), keyed)
+    return list(_factors(*keyed))
 
 
 def _low_borrows_reach(A: int, B: int, p: int, N: int) -> bool:
@@ -689,22 +721,22 @@ def theorem_evaluate(
         expansion = decompose(A, B, p)
     m = pseudo_valuation(expansion)
     if m >= N:
-        tr = EvalTrace("theorem", p, N, 0, m, 1, 0, ()) if trace else None
+        tr = EvalTrace("theorem", p, N, 0, m, 1, 0, (), ()) if trace else None
         return 0, tr
     n = N - m
     a, b, bounds = expansion.a_digits, expansion.b_digits, expansion.bounds
-    factors = [] if trace else None
+    keyed = ([], []) if trace else None
     # The walk's loop takes under 4 min(B, A - B) steps: min(b, c) a block,
     # where the blocks' B values sum to under 3 B and C values to under 3 C.
     t = None if trace else _source(A, p, n, 4 * min(B, A - B))
     if t is None:
-        v, unit = _walk(p, a, b, bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), factors)
+        v, unit = _walk(p, a, b, bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), keyed)
         assert v == _borrows(a, b), "factor valuations disagree with the borrow count"
     else:
         v, unit = _granville(a, b, p, n, t)
     assert v == m, "borrow count disagrees with the segmentation"
     residue = p**m * unit % p**N
-    tr = EvalTrace("theorem", p, N, n, m, unit, residue, tuple(factors)) if trace else None
+    tr = EvalTrace("theorem", p, N, n, m, unit, residue, *map(tuple, keyed)) if trace else None
     return residue, tr
 
 
@@ -771,33 +803,21 @@ def davis_webb_evaluate(
     if not trace and _low_borrows_reach(A, B, p, N):
         return 0, None
     a, b = _digit_pair(A, B, p, N)
-    factors = [] if trace else None
+    keyed = ([], []) if trace else None
     bounds = range(len(a) + 1)  # one digit a group
-    m, unit = _walk(p, a, b, bounds, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), factors)
+    m, unit = _walk(p, a, b, bounds, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), keyed)
     if m < 0:
         raise NegativeValuation("bracket product is not p-integral")
     residue = 0 if m >= N else p**m * unit % p**N
-    tr = EvalTrace("davis-webb", p, N, N, m, unit, residue, tuple(factors)) if trace else None
+    tr = EvalTrace("davis-webb", p, N, N, m, unit, residue, *map(tuple, keyed)) if trace else None
     return residue, tr
 
 
-# A formatter memoizes its lines, one for each distinct factor body, while
-# they repeat: it drops the memo when under a quarter of its first _PROBE
-# factors were hits, since where lines do not repeat the memo's keys and
-# stored lines cost more than they save.
-_PROBE = 1 << 10
-
-
-def _sides(
-    num_a: tuple[int, ...],
-    num_b: tuple[int, ...],
-    den_a: tuple[int, ...] | None,
-    den_b: tuple[int, ...] | None,
-    text: Callable[[tuple[int, ...]], str],
-) -> tuple[str, str | None]:
-    """The "a/b" texts of a factor's numerator and denominator windows,
-    the second None without a denominator; each window read through
-    ``text``."""
+def _sides(body: _Body, text: Callable[[tuple[int, ...]], str]) -> tuple[str, str | None]:
+    """The "a/b" texts of a factor body's numerator and denominator
+    windows, the second None without a denominator; each window read
+    through ``text``."""
+    num_a, num_b, den_a, den_b = body[:4]
     num = f"{text(num_a)}/{text(num_b)}"
     if den_a is None:
         return num, None
@@ -808,41 +828,30 @@ def format_trace_text(trace: EvalTrace) -> str:
     """Human-readable factor table: blocks, integer values, factored forms."""
     p, N = trace.p, trace.mod_exp
     lines = [f"method={trace.method} p={p} N={N} (m={trace.m}, n={trace.n})"]
-    if not trace.factors:
+    if not trace.ids:
         lines.append(f"  {p}^{trace.m} divides the binomial; residue is 0")
     cap = p**N if trace.method == "davis-webb" else None
     wrap = "<{}>" if trace.method == "davis-webb" else "C({})"
-    text = cache(_text)  # windows repeat even where whole lines do not
-
-    def build(
-        num_a: tuple,
-        num_b: tuple,
-        den_a: tuple | None,
-        den_b: tuple | None,
-        num_value: ValuedUnit,
-        den_value: ValuedUnit | None,
-    ) -> str:
-        num, den = _sides(num_a, num_b, den_a, den_b, text)
+    text = cache(_text)  # windows repeat even where whole bodies do not
+    shown = []  # each body's line
+    for body in trace.bodies:
+        num_value, den_value = body[4:6]
+        num, den = _sides(body, text)
         head = wrap.format(num) + (f"/{wrap.format(den)}" if den else "")
         nv = num_value.value_mod()
         ints = str(nv % cap if cap else nv)
         if den_value is not None:
             dv = den_value.value_mod()
             ints += f"/{dv % cap if cap else dv}"
-        out = f"  {head} = {ints}"
+        line = f"  {head} = {ints}"
         if num_value.valuation or (den_value is not None and den_value.valuation):
             factored = str(num_value)
             if den_value is not None:
                 factored += f"/{den_value}"
-            out += f" = {factored}"
-        return out
-
-    line = cache(build)
-    for count, f in enumerate(trace.factors):
-        if count == _PROBE and line.cache_info().hits * 4 < _PROBE:
-            line = build
-        lines.append(line(f.num_a, f.num_b, f.den_a, f.den_b, f.num_value, f.den_value))
-    if trace.factors:
+            line += f" = {factored}"
+        shown.append(line)
+    lines += [shown[d] for d in trace.ids]
+    if trace.ids:
         lines.append(f"  combined: {p}^{trace.m} * {trace.unit} (unit mod {p**trace.n})")
     lines.append(f"  result: {trace.residue} (mod {p**N})")
     return "\n".join(lines)
@@ -851,30 +860,13 @@ def format_trace_text(trace: EvalTrace) -> str:
 def format_trace_records(trace: EvalTrace) -> list[str]:
     """Machine-readable lines: one factor per line, then the result line."""
     text = cache(_text)  # as in format_trace_text
-
-    def build(
-        num_a: tuple,
-        num_b: tuple,
-        den_a: tuple | None,
-        den_b: tuple | None,
-        valuation: int,
-        unit: int,
-        precision: int,
-    ) -> str:
-        # the line after its index
-        num, den = _sides(num_a, num_b, den_a, den_b, text)
-        return (
-            f"num_block={num} den_block={den or '-'} "
-            f"val={valuation} unit={unit} prec={precision}"
-        )
-
-    line = cache(build)  # as in format_trace_text
-    lines = []
-    for count, f in enumerate(trace.factors):
-        if count == _PROBE and line.cache_info().hits * 4 < _PROBE:
-            line = build
-        v = f.value
-        rest = line(f.num_a, f.num_b, f.den_a, f.den_b, v.valuation, v.unit, v.precision)
-        lines.append(f"index={f.index} {rest}")
+    shown = []  # each body's line after its index
+    for body in trace.bodies:
+        num, den = _sides(body, text)
+        v = body[-1]
+        shown.append(f"num_block={num} den_block={den or '-'} "
+                     f"val={v.valuation} unit={v.unit} prec={v.precision}")
+    top = len(trace.ids) - 1
+    lines = [f"index={top - j} {shown[d]}" for j, d in enumerate(trace.ids)]
     lines.append(f"result={trace.residue} modulus={trace.p ** trace.mod_exp}")
     return lines

@@ -12,6 +12,7 @@ from helpers import from_digits
 from ppbinom import cli, engine
 from ppbinom.digits import _digit_pair, _text, parse_natural
 from ppbinom.engine import (
+    Factor,
     ValuedUnit,
     _dw_bracket,
     davis_webb_evaluate,
@@ -600,8 +601,8 @@ class TestTraceFormatting:
             assert keys == ["index", "num_block", "den_block", "val", "unit", "prec"]
 
     def test_equal_bodies_keep_their_own_lines(self):
-        # Factors with equal windows share their line past the index, and
-        # each keeps its own index; a factor with the same windows but
+        # Positions with one body share their line past the index, and
+        # each keeps its own index; a body with the same windows but
         # another value gets its own line.
         _, tr = davis_webb_evaluate(A8 * 3**40 + A8, B8 * 3**40 + B8, 3, 2)
         tails = {}
@@ -612,43 +613,37 @@ class TestTraceFormatting:
         assert len(tails) < len(tr.factors) // 2
         f = tr.factors[-1]
         other = ValuedUnit(3, 5, 1, 2)  # no 2-digit window has valuation 5
-        odd = replace(tr, factors=(f, f._replace(index=7, num_value=other, value=other)))
+        bodies = (f[1:], f._replace(num_value=other, value=other)[1:])
+        odd = replace(tr, bodies=bodies, ids=(0, 1, 0))
         # the record is as immutable as a frozen dataclass, and hashable
         assert hash(f._replace()) == hash(f)
         with pytest.raises(AttributeError):
             f.index = 7
-        (_, first), (_, second) = (line.split(" ", 1) for line in format_trace_records(odd)[:2])
-        assert first == tails[tuple(_windows(f))] != second
+        records = [line.split(" ", 1) for line in format_trace_records(odd)[:3]]
+        assert [index for index, _ in records] == ["index=2", "index=1", "index=0"]
+        (_, first), (_, second), (_, third) = records
+        assert first == third == tails[tuple(_windows(f))] != second
         lines = format_trace_text(odd).splitlines()
-        assert lines[1] == format_trace_text(tr).splitlines()[-3] != lines[2]
+        assert lines[1] == lines[3] == format_trace_text(tr).splitlines()[-3] != lines[2]
 
-    def test_line_memo_only_where_lines_repeat(self, monkeypatch):
-        # Past its first _PROBE factors a formatter keeps its line memo
-        # only if a quarter of them were repeats: then it builds each
-        # distinct line once, else each later factor's line.  The text is
-        # the same as with no memo at all.
+    def test_each_body_formatted_once(self, monkeypatch):
+        # A formatter formats each distinct factor body once, however many
+        # positions share it, and the text is the same as with no
+        # window-text memo.  The low half of the digits repeats the high
+        # half: at N = 3 bodies repeat throughout, at N = 8 mostly across
+        # the halves.
         rng = random.Random(23)
         built = []
         sides = engine._sides
         monkeypatch.setattr(engine, "_sides", lambda *w: built.append(w) or sides(*w))
-        # The low half of the digits repeats the high half, which the walk
-        # reads first: at N = 8 no line of the probe repeats, but the lines
-        # of the low half repeat those of the high half.
-        half = [rng.randrange(3) for _ in range(engine._PROBE + 200)]
+        half = [rng.randrange(3) for _ in range(1224)]
         b_half = [rng.randrange(d + 1) for d in half]
         A, B = from_digits(half + half + [1], 3), from_digits(b_half + b_half, 3)
         for N in (3, 8):
             tr = davis_webb_evaluate(A, B, 3, N)[1]
-            bodies = {tuple(_windows(f)) for f in tr.factors}
-            probed = {tuple(_windows(f)) for f in tr.factors[: engine._PROBE]}
             built.clear()
             shown = format_trace_text(tr), format_trace_records(tr)
-            if N == 3:
-                assert 4 * len(bodies) < len(tr.factors)
-                assert len(built) == 2 * len(bodies)
-            else:
-                assert 4 * len(probed) > 3 * engine._PROBE and len(bodies) < 0.6 * len(tr.factors)
-                assert len(built) == 2 * (len(probed) + len(tr.factors) - engine._PROBE)
+            assert len(built) == 2 * len(tr.bodies) and len(tr.bodies) < 0.6 * len(tr.ids)
             with monkeypatch.context() as m:
                 m.setattr(engine, "cache", lru_cache(maxsize=0))
                 assert shown == (format_trace_text(tr), format_trace_records(tr))
@@ -806,6 +801,32 @@ class TestTraceWindows:
                 assert line.startswith(f"index={f.index} num_block={num} den_block={den} ")
         monkeypatch.setattr(engine, "cache", lru_cache(maxsize=0))  # no text or line memo
         assert shared == [(format_trace_text(tr), format_trace_records(tr)) for tr in traces]
+
+
+def test_traces_keep_each_body_once():
+    # A trace keeps each distinct factor body once, in first-seen order,
+    # and one body id a position, top first; its factors join the two.
+    # Walks of one and two positions and across the batch edge, over one-
+    # digit groups (the column-wise roll) and long groups (the group roll).
+    rng = random.Random(26)
+    for p, n, long_groups in ((3, 3, False), (3, 1, False), (3, 3, True), (5, 1, True)):
+        for positions, A, B in _batch_edge_pairs(rng, p, n, long_groups):
+            e = decompose(A, B, p)
+            N = pseudo_valuation(e) + n
+            tr = theorem_evaluate(A, B, p, N, expansion=e)[1]
+            assert len(tr.ids) == positions
+            assert theorem_factors(e, n) == list(tr.factors)
+            traces = [tr] if long_groups else [tr, davis_webb_evaluate(A, B, p, N)[1]]
+            for tr in traces:
+                assert len(set(tr.bodies)) == len(tr.bodies)
+                high = -1
+                for d in tr.ids:
+                    assert d <= high + 1
+                    high = max(high, d)
+                assert high == len(tr.bodies) - 1
+                top = len(tr.ids) - 1
+                for j, f in enumerate(tr.factors):
+                    assert f == Factor(top - j, *tr.bodies[tr.ids[j]])
 
 
 @pytest.fixture
