@@ -19,10 +19,10 @@ All three track block values as (valuation, unit) pairs, ``p**valuation
 * unit`` with the unit held at a fixed precision, so nothing ever
 materializes the exact binomial.  A trace records them as ``ValuedUnit``.
 The theorem's trace and fallback and Davis-Webb take one block-quotient
-walk (``_walk``), which keys each position by its pair of windows, rolled
-column-wise where every group is one digit: each distinct key of a batch
-of positions is valued once, its unit raised to its count.  A trace
-keeps each distinct key's factor body once and one body id a position.
+walk (``_walk``), which pads a short top and keys each position by its
+pair of windows, rolled column-wise where every group is one digit: each
+distinct key of a batch is valued once, its unit raised to its count.  A
+trace keeps each distinct key's factor body once and one body id a position.
 """
 
 from __future__ import annotations
@@ -548,7 +548,7 @@ def _keys(
     p: int, a: tuple[int, ...], b: tuple[int, ...], bounds: Sequence[int], width: int, top: int
 ) -> Iterator[Iterable[_Key]]:
     """The walk's position keys, top position first, in batches of at most
-    ``_BATCH``.
+    ``_BATCH``, over groups that ``_walk`` has padded to at least width.
 
     The block values roll: the denominator at i is the running value cut
     to the digits of its groups, and the numerator folds group i's digits
@@ -571,22 +571,19 @@ def _keys(
             yield zip(wa, wb, repeat(width), repeat(width - 1))
         return
     keys: list[_Key] = []
-    # zero groups above the top: only where the expansion is shorter than width
-    pad = width - (len(bounds) - 1 - top)
-    # hi: the digit offset above group i; k: the denominator's digit count.
+    # hi: the digit offset above group i; k: the denominator's digit count,
+    # 0 at the top, where bounds[top + width] is hi.
     hi = bounds[-1]
     av = bv = k = 0
     pk = 1
     for i in range(top, -1, -1):
-        if i < top:
-            if bounds[i + width] - hi != k:
-                k = bounds[i + width] - hi
-                pk = p**k
-            av %= pk
-            bv %= pk
+        if bounds[i + width] - hi != k:
+            k = bounds[i + width] - hi
+            pk = p**k
+        av %= pk
+        bv %= pk
         lo = bounds[i]
-        digits = hi - lo + k + pad
-        pad = 0
+        digits = hi - lo + k
         while hi > lo:
             hi -= 1
             av = a[hi] + p * av
@@ -609,21 +606,25 @@ def _walk(
     """(valuation, unit mod p**width) of the block-quotient product over
     the groups of a and b, group i starting at digit bounds[i].
 
-    Position top covers groups top and up; each lower position i the
-    blocks of groups i .. i+width-1 over i+1 .. i+width-1 (none at width
-    1), and ``value(av, bv, digits)`` maps a block's A and B values and
-    digit count to its (valuation, unit) pair.  Each position is keyed by
-    its numerator block (``_keys``), and the keys of a batch are tallied:
-    each distinct one is valued once (``_fold``).  Given a pair of lists,
-    the walk also records the trace in them: one body a distinct key, in
-    first-seen order, and one body id a position, and it folds each batch
-    over its ids' counts.  A body is built at its key's first position:
-    its windows, that position's digits of a and b (zero-padded past
-    their end), interned across the walk, and its three values, the last
-    of which is the factor's.
+    Position top covers groups top and up, first widened to width by zero
+    one-digit groups where fewer (the walk's only padding); each lower
+    position i the blocks of groups i .. i+width-1 over i+1 .. i+width-1
+    (none at width 1).  ``value(av, bv, digits)`` maps a block's A and B
+    values and digit count to its (valuation, unit) pair.  Each position
+    is keyed by its numerator block (``_keys``); each distinct key of a
+    batch is valued once (``_fold``).  Given a pair of lists, the walk
+    also records the trace in them: one body a distinct key, in first-seen
+    order, and one body id a position, and it folds each batch over its
+    ids' counts.  A body is built at its key's first position: its
+    windows, that position's digits of a and b, interned across the walk,
+    and its three values, the last of which is the factor's.
     """
+    pad = width + 1 - len(bounds)
+    if pad > 0:  # a top shorter than width groups: zero one-digit groups above it
+        a, b = a + (0,) * pad, b + (0,) * pad
+        bounds = [*bounds, *range(bounds[-1] + 1, bounds[-1] + pad + 1)]
     pe = p**width
-    top = max(len(bounds) - 1 - width, 0)
+    top = len(bounds) - 1 - width
     v, num = 0, 1
     seen: dict[_Key, int] = {}  # each distinct key's body id
     quotients: list[tuple[int, int, int, int]] = []  # each body's (nv, nu, dv, du)
@@ -639,8 +640,7 @@ def _walk(
                 j = got.index(d, j)  # the new key's first position in the batch
                 lo, (_, _, digits, k) = bounds[top - j], batch[j]
                 nv, nu, dv, du = q = _quotient(p, value, batch[j])
-                zeros = (0,) * (lo + digits - len(a))  # only a top block short of the width
-                na, nb = a[lo : lo + digits] + zeros, b[lo : lo + digits] + zeros
+                na, nb = a[lo : lo + digits], b[lo : lo + digits]
                 na, nb = windows.setdefault(na, na), windows.setdefault(nb, nb)
                 nvu = _vu(p, nv, nu, width)
                 if k:
@@ -690,6 +690,16 @@ def _low_borrows_reach(A: int, B: int, p: int, N: int) -> bool:
     return pseudo_valuation(decompose(A % pk + pk, B % pk, p)) >= N
 
 
+def _enter(A: int, B: int, p: int, N: int, early: bool) -> bool:
+    """Check an evaluator's A >= B >= 0, p prime and N >= 1; then, with
+    ``early``, whether ``_low_borrows_reach`` finds the residue 0 already."""
+    _check_pair(A, B)
+    ensure_prime(p)
+    if N < 1:
+        raise ValueError("modulus exponent N must be >= 1")
+    return early and _low_borrows_reach(A, B, p, N)
+
+
 def theorem_evaluate(
     A: int,
     B: int,
@@ -709,16 +719,14 @@ def theorem_evaluate(
     full path), and ``trace=False`` to skip building the factor table:
     the unit then comes from one ``_granville`` pass over the digits, or
     from the block walk where ``_source`` finds the unit factorials not
-    worth building.
+    worth building.  An ``expansion`` for another p raises ValueError.
     """
-    _check_pair(A, B)
-    ensure_prime(p)
-    if N < 1:
-        raise ValueError("modulus exponent N must be >= 1")
+    if _enter(A, B, p, N, expansion is None and not trace):
+        return 0, None
     if expansion is None:
-        if not trace and _low_borrows_reach(A, B, p, N):
-            return 0, None
         expansion = decompose(A, B, p)
+    elif expansion.p != p:
+        raise ValueError(f"expansion is for p = {expansion.p}, not {p}")
     m = pseudo_valuation(expansion)
     if m >= N:
         tr = EvalTrace("theorem", p, N, 0, m, 1, 0, (), ()) if trace else None
@@ -747,9 +755,7 @@ def lucas_evaluate(A: int, B: int, p: int) -> int:
     low digits are checked first, before converting the rest.  A's digits
     above B's top digit contribute C(d, 0) = 1 and are not read.
     """
-    _check_pair(A, B)
-    ensure_prime(p)
-    if _low_borrows_reach(A, B, p, 1):
+    if _enter(A, B, p, 1, True):
         return 0
     result = 1
     for da, db in zip(_digits_of(A, p), _digits_of(B, p)):
@@ -796,11 +802,7 @@ def davis_webb_evaluate(
     pair once.  An untraced call returns (0, None) when the low 8N digits
     of A - B already borrow N times, before any conversion.
     """
-    _check_pair(A, B)
-    ensure_prime(p)
-    if N < 1:
-        raise ValueError("modulus exponent N must be >= 1")
-    if not trace and _low_borrows_reach(A, B, p, N):
+    if _enter(A, B, p, N, not trace):
         return 0, None
     a, b = _digit_pair(A, B, p, N)
     keyed = ([], []) if trace else None

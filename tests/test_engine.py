@@ -460,6 +460,14 @@ class TestTheoremEvaluate:
         e = decompose(A3, B3, 3)
         assert theorem_evaluate(A3, B3, 3, 5, expansion=e)[0] == 18
 
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_expansion_for_another_prime(self, trace):
+        # C(10, 3) mod 25 is 20; the digits of a p = 3 expansion read at
+        # p = 5 give 5, so the prime is checked.
+        with pytest.raises(ValueError, match="expansion is for p = 3, not 5"):
+            theorem_evaluate(10, 3, 5, 2, expansion=decompose(10, 3, 3), trace=trace)
+        assert theorem_evaluate(10, 3, 5, 2, expansion=decompose(10, 3, 5), trace=trace)[0] == 20
+
     def test_errors(self):
         with pytest.raises(OrderViolation):
             theorem_evaluate(5, 6, 3, 2)
