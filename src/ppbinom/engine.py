@@ -9,7 +9,10 @@
   records these factors.  Untraced, the unit is one Granville pass over
   the digits, the same pass that evaluates a single block binomial: the
   unit factorials of the windows floor(x/p**d) mod p**n of A, B and
-  A - B, whose grouping into factors changes no read.
+  A - B, whose grouping into factors changes no read.  The pass packs
+  the digits in byte lanes of one int, so one big-int subtraction gives
+  A - B's digits and its borrows, whose count is m, and big-int shifts
+  give the windows; only the reads loop a digit.
 * ``davis_webb_evaluate``: the digit-window bracket recursion, which
   keeps the window a fixed width N and pays a factor p each time the top
   window comparison fails.
@@ -27,6 +30,7 @@ trace keeps each distinct key's factor body once and one body id a position.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
@@ -111,13 +115,14 @@ def exact_binom_mod(a: int, b: int, p: int, e: int) -> tuple[int, int]:
 
     Granville's formula reduces the unit to unit factorials (x!)_p mod
     p**e of the windows floor(a/p**d) mod p**e of a, b and a - b, three
-    reads a base-p digit of a (``_granville``).  When p**e <= 2**14 they
-    come from a prefix table built once per (p, e).  Above that they come
-    from checkpoints, built once per (p, e) with the last two kept: at
-    e = 1, x! mod p at the multiples of the power of two v above
-    sqrt((p - 1)/2) up to (p - 1)/2, from shifted evaluation in at most
-    about v**1.75 / 16 loop steps, with Wilson's theorem for the upper
-    half; at e >= 2, doubling polynomials.  The multiplicative formula
+    reads a base-p digit of a, taken over the digits packed in lanes
+    (``_granville``).  When p**e <= 2**14 they come from a prefix table
+    built once per (p, e).  Above that they come from checkpoints, built
+    once per (p, e) with the last two kept: at e = 1, x! mod p at the
+    multiples of the power of two v above sqrt((p - 1)/2) up to
+    (p - 1)/2, from shifted evaluation in at most about v**1.75 / 16 loop
+    steps, with Wilson's theorem for the upper half; at e >= 2, doubling
+    polynomials.  The multiplicative formula
     prod_{i=1..b} (a-b+i)/i, at min(b, a-b) steps, runs where it is
     estimated cheaper than their set-up plus reads (``_source``), as for
     tiny blocks at large e.  TooLarge is raised when the cheaper of the
@@ -397,8 +402,84 @@ def _source(a: int, p: int, e: int, steps: int) -> array | _Checkpoints | None:
     return None
 
 
+# Lanes of 1, 2, 4 and 8 bytes are written and read through an array of
+# that item size; wider ones are 8-byte lanes spread out (``_widen``).
+# Arrays hold native-order items, and lanes are little-endian.
+_LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_SWAP = sys.byteorder == "big"
+
+
+def _lane_bytes(p: int, pe: int) -> int:
+    """The fewest of 1, 2, 4, 8, ... bytes a lane that keep its top bit
+    clear for digits below p and hold values below pe."""
+    bits = max(p.bit_length() + 1, (pe - 1).bit_length())
+    return 1 << max((bits - 1).bit_length() - 3, 0)
+
+
+def _widen(x: int, v: int, w: int, count: int) -> int:
+    """x's count v-byte lanes moved to w-byte lanes, w > v: byte k of each
+    lane copied as one strided slice."""
+    raw = x.to_bytes(count * v, "little")
+    out = bytearray(count * w)
+    for k in range(v):
+        out[k::w] = raw[k::v]
+    return int.from_bytes(out, "little")
+
+
+def _pack(digits: Sequence[int], w: int) -> int:
+    """The digits as one int, digit i in the w-byte lane at byte i w."""
+    lanes = array(_LANE_CODES[min(w, 8)], digits)
+    if _SWAP:
+        lanes.byteswap()
+    x = int.from_bytes(lanes, "little")
+    return x if w <= 8 else _widen(x, 8, w, len(digits))
+
+
+def _unpack(x: int, w: int, count: int) -> Sequence[int]:
+    """The count w-byte lanes of x, lowest first (``_pack`` undone)."""
+    raw = x.to_bytes(count * w, "little")
+    if w > 8:
+        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+    lanes = array(_LANE_CODES[w], raw)
+    if _SWAP:
+        lanes.byteswap()
+    return lanes
+
+
+class _Lanes(NamedTuple):
+    """A >= B's little-endian base-p digits packed w bytes a lane, C = A - B's
+    digits the same way, and the borrow flags: bit 0 of lane i set where
+    digit i borrows."""
+
+    w: int
+    a: int
+    b: int
+    c: int
+    flags: int
+
+
+def _subtract(a: Sequence[int], b: Sequence[int], p: int, w: int) -> _Lanes:
+    """The digits a of A and b of B (padded to a's length) in w-byte lanes,
+    w at least ``_lane_bytes(p, p)``, and C's digits and borrows from one
+    big-int subtraction.
+
+    Each lane of d = A' - B' is x - y - (borrow in) taken mod 2**(8w): from
+    -p to p - 1, so its top bit is set exactly when the digit borrows, and
+    it then exceeds the digit of C by 2**(8w) - p.
+    """
+    xa, xb = _pack(a, w), _pack(b, w)
+    d = xa - xb
+    flags = d >> (8 * w - 1) & int.from_bytes((b"\1" + bytes(w - 1)) * len(a), "little")
+    return _Lanes(w, xa, xb, d - ((1 << 8 * w) - p) * flags, flags)
+
+
 def _granville(
-    a: tuple[int, ...], b: tuple[int, ...], p: int, e: int, t: array | _Checkpoints
+    a: Sequence[int],
+    b: Sequence[int],
+    p: int,
+    e: int,
+    t: array | _Checkpoints,
+    lanes: _Lanes | None = None,
 ) -> tuple[int, int]:
     """(v, unit mod p**e) of C(A, B) from the little-endian digits a, b
     of A >= B, b padded to a's length, and t, the unit factorials of (p, e).
@@ -408,36 +489,39 @@ def _granville(
     product of the units mod p**e (+1 for p = 2, e >= 3) and T[r] =
     (r!)_p mod p**e is read from t, the table or checkpoints.  With C =
     A - B, the unit is the product over digits d of F(A_d) / (F(B_d)
-    F(C_d)), F(x) = T[x mod p**e]; the windows x_d mod p**e roll down
-    the digits.  s's exponent, the sum over d of q(A_d) - q(B_d) - q(C_d)
-    with q(x) = floor(x/p**e), is the count of borrows out of digits e - 1
-    and up.  C's digits come from one borrow pass, below digit e - 1 and
-    from it up, whose total count is v (Kummer).
+    F(C_d)), F(x) = T[x mod p**e].  s's exponent, the sum over d of
+    q(A_d) - q(B_d) - q(C_d) with q(x) = floor(x/p**e), is the count of
+    borrows out of digits e - 1 and up, and v the count of all borrows
+    (Kummer).  Both are bit counts of ``_subtract``'s flags, in lanes wide
+    enough for p**e: ``lanes``, where given, as they are or widened, else
+    packed from a and b.  The windows x_d mod p**e are sum_{j<e} p**j times
+    the lanes shifted down j, taken for the three sides at once and read
+    back through ``_unpack``, so only the three reads a digit loop.
     """
     pe = p**e
-    c: list[int] = []
-    counts = []
-    borrow = 0
-    for part in (slice(e - 1), slice(e - 1, None)):
-        count = 0
-        for x, y in zip(a[part], b[part]):
-            d = x - y - borrow
-            borrow = d < 0
-            count += borrow
-            c.append(d + p if borrow else d)
-        counts.append(count)
-    low, high = counts
-    wa = wb = wc = 0
+    w = _lane_bytes(p, pe)
+    if lanes is None:
+        lanes = _subtract(a, b, p, w)
+    elif lanes.w < w:
+        lanes = _Lanes(w, *(_widen(x, lanes.w, w, len(a)) for x in lanes[1:]))
+    # A's, B's and C's lanes side by side, g lanes apart, so that one sum
+    # gives every side's windows: the e - 1 zero lanes above each side are
+    # all its top windows read
+    s, n = 8 * w, len(a)
+    g = n + e - 1
+    sides = lanes.a | lanes.b << s * g | lanes.c << 2 * s * g
+    windows, pj = sides, 1
+    for j in range(1, e):
+        pj *= p
+        windows += pj * (sides >> s * j)
+    windows = _unpack(windows, w, 3 * g)
     num = den = 1
-    for x, y, z in zip(reversed(a), reversed(b), reversed(c)):
-        wa = (wa * p + x) % pe
-        wb = (wb * p + y) % pe
-        wc = (wc * p + z) % pe
-        num = num * t[wa] % pe
-        den = den * t[wb] * t[wc] % pe
-    if high & 1 and not (p == 2 and e >= 3):
+    for x, y, z in zip(windows[:n], windows[g:], windows[2 * g :]):
+        num = num * t[x] % pe
+        den = den * t[y] * t[z] % pe
+    if (lanes.flags >> s * (e - 1)).bit_count() & 1 and not (p == 2 and e >= 3):
         num = pe - num
-    return low + high, num * pow(den, -1, pe) % pe
+    return lanes.flags.bit_count(), num * pow(den, -1, pe) % pe
 
 
 @lru_cache(maxsize=1 << 18)
@@ -714,35 +798,46 @@ def theorem_evaluate(
     is derived from the valuation m, short-circuiting to 0 when m >= N.
     An untraced call with no ``expansion`` first counts the borrows in
     the low 8N digits and returns (0, None) when they reach N, without
-    converting or segmenting the rest.  Pass a precomputed ``expansion``
-    to amortize decomposition across several N (it always takes the
-    full path), and ``trace=False`` to skip building the factor table:
-    the unit then comes from one ``_granville`` pass over the digits, or
-    from the block walk where ``_source`` finds the unit factorials not
-    worth building.  An ``expansion`` for another p raises ValueError.
+    converting or segmenting the rest; else it takes m from the borrow
+    flags of one lane subtraction (``_subtract``), at the width p needs,
+    and segments nothing unless it ends on the walk.  Pass a precomputed
+    ``expansion`` to amortize decomposition across several N (it always
+    takes the full path), and ``trace=False`` to skip building the factor
+    table: the unit then comes from one ``_granville`` pass over the
+    digits, or from the block walk where ``_source`` finds the unit
+    factorials not worth building.  An ``expansion`` for another p raises
+    ValueError.
     """
     if _enter(A, B, p, N, expansion is None and not trace):
         return 0, None
-    if expansion is None:
-        expansion = decompose(A, B, p)
-    elif expansion.p != p:
+    if expansion is not None and expansion.p != p:
         raise ValueError(f"expansion is for p = {expansion.p}, not {p}")
-    m = pseudo_valuation(expansion)
+    if expansion is None and not trace:
+        a, b = _digit_pair(A, B, p)
+        lanes = _subtract(a, b, p, _lane_bytes(p, p))
+        m = lanes.flags.bit_count()
+    else:
+        lanes = None
+        if expansion is None:
+            expansion = decompose(A, B, p)
+        a, b = expansion.a_digits, expansion.b_digits
+        m = pseudo_valuation(expansion)
     if m >= N:
         tr = EvalTrace("theorem", p, N, 0, m, 1, 0, (), ()) if trace else None
         return 0, tr
     n = N - m
-    a, b, bounds = expansion.a_digits, expansion.b_digits, expansion.bounds
     keyed = ([], []) if trace else None
     # The walk's loop takes under 4 min(B, A - B) steps: min(b, c) a block,
     # where the blocks' B values sum to under 3 B and C values to under 3 C.
     t = None if trace else _source(A, p, n, 4 * min(B, A - B))
     if t is None:
-        v, unit = _walk(p, a, b, bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), keyed)
+        if expansion is None:
+            expansion = decompose(A, B, p)
+        v, unit = _walk(p, a, b, expansion.bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), keyed)
         assert v == _borrows(a, b), "factor valuations disagree with the borrow count"
     else:
-        v, unit = _granville(a, b, p, n, t)
-    assert v == m, "borrow count disagrees with the segmentation"
+        v, unit = _granville(a, b, p, n, t, lanes)
+    assert v == m, "borrow count disagrees with the valuation"
     residue = p**m * unit % p**N
     tr = EvalTrace("theorem", p, N, n, m, unit, residue, *map(tuple, keyed)) if trace else None
     return residue, tr
@@ -753,12 +848,15 @@ def lucas_evaluate(A: int, B: int, p: int) -> int:
 
     Zero as soon as any digit of B exceeds the matching digit of A; the
     low digits are checked first, before converting the rest.  A's digits
-    above B's top digit contribute C(d, 0) = 1 and are not read.
+    above B's top digit contribute C(d, 0) = 1, so only A mod p**k, k the
+    digit count of B, is converted.
     """
     if _enter(A, B, p, 1, True):
         return 0
     result = 1
-    for da, db in zip(_digits_of(A, p), _digits_of(B, p)):
+    digits = _digits_of(B, p)
+    pk = p ** len(digits)  # A mod pk, with its zeros up to digit k, below a leading 1
+    for da, db in zip(_digits_of(A % pk + pk, p), digits):
         if da < db:
             return 0
         result = result * _binom_vu(da, db, p, 1)[1] % p

@@ -10,7 +10,7 @@ import pytest
 from helpers import from_digits
 
 from ppbinom import cli, engine
-from ppbinom.digits import _digit_pair, _text, parse_natural
+from ppbinom.digits import _borrows, _digit_pair, _text, parse_natural
 from ppbinom.engine import (
     Factor,
     ValuedUnit,
@@ -341,6 +341,154 @@ class TestExactBinomMod:
             exact_binom_mod(5, 2, 3, 0)
 
 
+def granville_loop(a, b, p, e, t):
+    """The Granville pass as plain loops over the padded digit tuples a,
+    b: one borrow pass for C's digits and the two borrow counts, then the
+    three windows rolled down from the top digit."""
+    pe = p**e
+    c, counts, borrow = [], [], 0
+    for part in (slice(e - 1), slice(e - 1, None)):
+        count = 0
+        for x, y in zip(a[part], b[part]):
+            d = x - y - borrow
+            borrow = d < 0
+            count += borrow
+            c.append(d + p if borrow else d)
+        counts.append(count)
+    wa = wb = wc = 0
+    num = den = 1
+    for x, y, z in zip(reversed(a), reversed(b), reversed(c)):
+        wa, wb, wc = (wa * p + x) % pe, (wb * p + y) % pe, (wc * p + z) % pe
+        num = num * t[wa] % pe
+        den = den * t[wb] * t[wc] % pe
+    if counts[1] & 1 and not (p == 2 and e >= 3):
+        num = pe - num
+    return sum(counts), num * pow(den, -1, pe) % pe
+
+
+class ReadLog:
+    """A stand-in for the unit factorials of (p, e), p > 2: each read x is
+    counted, and answered with the unit x mod (p - 1) + 1."""
+
+    def __init__(self, p):
+        self.p, self.reads = p, Counter()
+
+    def __getitem__(self, x):
+        self.reads[x] += 1
+        return x % (self.p - 1) + 1
+
+
+def check_lanes(A, B, p, w):
+    """_subtract's flags and C digits at lane width w against decompose's
+    groups, _borrows and A - B's own digits."""
+    a, b = _digit_pair(A, B, p)
+    lanes = engine._subtract(a, b, p, w)
+    assert list(engine._unpack(lanes.a, w, len(a))) == list(a)
+    assert list(engine._unpack(lanes.b, w, len(a))) == list(b)
+    ends = set(decompose(A, B, p).bounds)  # a group ends after each digit that does not borrow
+    assert list(engine._unpack(lanes.flags, w, len(a))) == [i + 1 not in ends for i in range(len(a))]
+    assert lanes.flags.bit_count() == _borrows(a, b)
+    c = _digit_pair(A - B, 0, p, len(a))[0]
+    assert list(engine._unpack(lanes.c, w, len(a))) == list(c)
+    return a, b
+
+
+class TestLanes:
+    """The lane-packed Granville pass against the plain loops."""
+
+    @pytest.mark.parametrize("p, top", [(2, 5), (3, 5), (5, 3)])
+    def test_every_small_pair(self, p, top):
+        # every A >= B below p**top, and at p = 5 also 3000 seeded pairs
+        # below 5**5 (all of them would be 4.9 M): flags and C digits at
+        # each lane width that e = 1..6 take, and the pass's (v, unit) at
+        # each e against the loops over the same table
+        tables = {e: engine._unit_factorials(p, e) for e in range(1, 7)}
+        widths = sorted({engine._lane_bytes(p, p**e) for e in tables})
+        pairs = [(A, B) for A in range(p**top) for B in range(A + 1)]
+        if p == 5:
+            rng = random.Random(5)
+            pairs += [sorted((rng.randrange(p**5), rng.randrange(p**5)))[::-1] for _ in range(3000)]
+        for A, B in pairs:
+            for w in widths:
+                a, b = check_lanes(A, B, p, w)
+            for e, t in tables.items():
+                want = granville_loop(a, b, p, e, t)
+                assert engine._granville(a, b, p, e, t) == want, (A, B, e)
+
+    @pytest.mark.parametrize(
+        "p", [127, 131, 32749, 32771, 2**31 - 1, 2**31 + 11, 2**61 - 1, 2**64 - 59]
+    )
+    def test_lane_width_edges(self, p):
+        # digits near 0 and p - 1, so lanes run near their top bit; the
+        # windows each side reads, logged, against the loops'
+        want_w = {127: 1, 131: 2, 32749: 2, 32771: 4, 2**31 - 1: 4, 2**31 + 11: 8}
+        assert engine._lane_bytes(p, p) == want_w.get(p, 8 if p < 2**63 else 16)
+        rng = random.Random(p)
+        near = [0, 1, 2, p - 3, p - 2, p - 1]
+        for _ in range(40):
+            ad = [rng.choice(near) for _ in range(rng.randrange(1, 12))] + [rng.randrange(1, p)]
+            bd = [rng.choice(near) for _ in ad[:-1]] + [rng.randrange(ad[-1] + 1)]
+            A, B = from_digits(ad, p), from_digits(bd, p)
+            for e in (1, 2, 3):
+                w = engine._lane_bytes(p, p**e)
+                assert 2 ** (8 * w - 1) > p and 2 ** (8 * w) >= p**e
+                a, b = check_lanes(A, B, p, w)
+                got, want = ReadLog(p), ReadLog(p)
+                assert engine._granville(a, b, p, e, got) == granville_loop(a, b, p, e, want)
+                assert got.reads == want.reads
+
+    def test_lanes_wider_than_eight_bytes(self):
+        # p = 2, e = 70: 16-byte lanes, read back through byte slices
+        assert engine._lane_bytes(2, 2**70) == 16
+        rng = random.Random(70)
+        t = engine._Checkpoints(2, 70)
+        for A, B in [(2**200 - 1, 4095), (2**150 + 2**75, 2**12 + 1)] + [
+            (rng.randrange(2**200), rng.randrange(2**12)) for _ in range(2)
+        ]:
+            assert granville(A, B, 2, 70, t) == engine._binom_loop(A, B, 2, 70)
+
+    def test_narrow_lanes_handed_on(self):
+        # the theorem's lanes, packed for p alone, are used where p**n fits
+        # them and widened where it does not
+        p = 3
+        a, b = _digit_pair(from_digits([2, 1, 0, 2, 2, 1], p), from_digits([1, 1, 0, 2, 0, 1], p), p)
+        narrow = engine._subtract(a, b, p, engine._lane_bytes(p, p))
+        for e in range(1, 8):
+            t = engine._unit_factorials(p, e)
+            assert engine._granville(a, b, p, e, t, narrow) == granville_loop(a, b, p, e, t)
+
+    def test_lane_width_follows_n(self, monkeypatch):
+        # The untraced theorem packs lanes for p alone; only the Granville
+        # pass widens them, and to p**n, not p**N.  A call that stops at
+        # m >= N or ends on the walk never widens.
+        packed, widened = [], []
+        pack, widen = engine._pack, engine._widen
+        monkeypatch.setattr(engine, "_pack", lambda d, w: packed.append(w) or pack(d, w))
+        monkeypatch.setattr(engine, "_widen", lambda x, v, w, k: widened.append(w) or widen(x, v, w, k))
+        rng = random.Random(28)
+        p = 3
+        ad = [rng.randrange(p) for _ in range(400)] + [1]
+        bd = [rng.randrange(d + 1) for d in ad]
+        low = from_digits(ad, p), from_digits(bd, p)  # m = 0
+        for j in (10, 20, 30):  # a borrow each, absorbed by the digit above
+            ad[j : j + 2], bd[j : j + 2] = [0, 2], [1, 0]
+        cases = [  # (A, B, N, the width the pass widens to, or None)
+            (*low, 6, 2),  # 3**6 > 2**8
+            (from_digits(ad, p), from_digits(bd, p), 8, None),  # m = 3: 3**5 < 2**8 < 3**8
+            (from_digits([2] * 80 + [0] * 4 + [2], p), from_digits([0] * 80 + [1] * 4, p), 4, None),
+            (parse_natural("2101", 3), parse_natural("1021", 3), 50000, None),  # the walk
+        ]
+        for A, B, N, width in cases:
+            m = kummer_valuation(A, B, p)
+            assert (m >= N) == (N == 4)
+            want = theorem_evaluate(A, B, p, N)[0]
+            packed.clear()
+            widened.clear()
+            assert theorem_evaluate(A, B, p, N, trace=False) == (want, None)
+            assert packed == [1, 1]
+            assert widened == ([width] * 4 if width else [])
+
+
 class TestTheoremFactors:
     def test_worked_factor_blocks(self):
         e = decompose(A3, B3, 3)
@@ -498,6 +646,23 @@ class TestLucas:
             for a in range(p**3 + 5):
                 for b in range(0, a + 1, 3):
                     assert lucas_evaluate(a, b, p) == math.comb(a, b) % p
+
+    def test_converts_only_as_many_digits_of_A_as_B_has(self, monkeypatch):
+        # A's digits above B's top digit are never read, so only A mod
+        # p**k, k the digit count of B, is converted (below a leading 1
+        # that keeps its zero digits)
+        rng = random.Random(21)
+        p = 3
+        ad = [rng.randrange(1, p) for _ in range(10**4)]
+        bd = [rng.randrange(d + 1) for d in ad[:21]]
+        bd[-1] = 1
+        A, B = from_digits(ad, p), from_digits(bd, p)
+        seen = []
+        real = engine._digits_of
+        monkeypatch.setattr(engine, "_digits_of", lambda n, base: seen.append(n) or real(n, base))
+        want = math.prod(math.comb(x, y) for x, y in zip(ad, bd)) % p
+        assert lucas_evaluate(A, B, p) == want
+        assert seen == [B, A % p**21 + p**21]
 
 
 class TestDwBracket:
@@ -912,7 +1077,8 @@ class TestEarlyExit:
         calls = []
         monkeypatch.setattr(engine, "decompose", lambda *a: calls.append(a) or decompose(*a))
         res = theorem_evaluate(A, B, p, N, trace=False)
-        assert calls[1:] == [(A, B, p)] and calls[0][0] < p ** (8 * N + 1)
+        # m comes from the lane flags: the window is the only segmentation
+        assert len(calls) == 1 and calls[0][0] < p ** (8 * N + 1)
         assert res == (theorem_evaluate(A, B, p, N)[0], None)
         res = davis_webb_evaluate(A, B, p, N, trace=False)
         assert res == (davis_webb_evaluate(A, B, p, N)[0], None)
@@ -933,13 +1099,18 @@ class TestEarlyExit:
             assert theorem_evaluate(A, B, p, N, trace=False) == (0, None)
             assert davis_webb_evaluate(A, B, p, N, trace=False) == (0, None)
 
-    def test_window_no_wider_than_A(self, decompose_calls):
+    def test_window_no_wider_than_A(self, monkeypatch):
         # At N = 50000 a window of 8N digits on a 4-digit pair costs over
-        # 100x the full path; the window stops at A's bit length.
+        # 100x the full path; the window stops at A's bit length.  The exit
+        # does not fire, and p**n is past the table and the checkpoints, so
+        # the call ends on the walk, which segments the pair itself.
         A, B = parse_natural("2101", 3), parse_natural("1021", 3)
         want = theorem_evaluate(A, B, 3, 50000)[0]
+        windows = []
+        monkeypatch.setattr(engine, "decompose", lambda *a: windows.append(decompose(*a)) or windows[-1])
         assert theorem_evaluate(A, B, 3, 50000, trace=False) == (want, None)
-        assert len(decompose_calls[0][3].a_digits) <= A.bit_length() + 1
+        assert len(windows) == 2 and windows[1] == decompose(A, B, 3)
+        assert len(windows[0].a_digits) <= A.bit_length() + 1
 
 
 def test_benchmark_hooks_stay_live(monkeypatch):
