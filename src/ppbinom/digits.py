@@ -144,12 +144,11 @@ def _digits_of(n: int, base: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _digit_pair(A: int, B: int, p: int, width: int = 1) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Little-endian base-p digits of A >= B, both padded with zeros to the
-    longer of A's digit count and width."""
+def _digit_pair(A: int, B: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Little-endian base-p digits of A >= B, B's padded with zeros to A's
+    digit count."""
     da, db = _digits_of(A, p), _digits_of(B, p)
-    n = max(len(da), width)
-    return da + (0,) * (n - len(da)), db + (0,) * (n - len(db))
+    return da, db + (0,) * (len(da) - len(db))
 
 
 def parse_natural(text: str, radix: int) -> int:

@@ -201,6 +201,54 @@ def _horner(coeffs: list[int], z: int, m: int) -> int:
     return v
 
 
+# The one codec for packed big-int arithmetic (the Granville pass's digits,
+# shifted evaluation's Kronecker slots): lanes of 1, 2, 4 and 8 bytes are
+# written and read through an array of that item size; wider ones are
+# 8-byte lanes spread out (``_widen``) and read back as byte slices.
+# Arrays hold native-order items, and lanes are little-endian.
+_LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_SWAP = sys.byteorder == "big"
+
+
+def _lane_bytes(p: int, pe: int) -> int:
+    """The bytes a lane needs to keep its top bit clear for digits below p
+    and to hold values below pe: the fewest of 1, 2, 4 and 8 (the array
+    item sizes) up to 8, and the exact count above."""
+    w = (max(p.bit_length() + 1, (pe - 1).bit_length()) + 7) // 8
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
+def _widen(x: int, v: int, w: int, count: int) -> int:
+    """x's count v-byte lanes moved to w-byte lanes, w > v: byte k of each
+    lane copied as one strided slice."""
+    raw = x.to_bytes(count * v, "little")
+    out = bytearray(count * w)
+    for k in range(v):
+        out[k::w] = raw[k::v]
+    return int.from_bytes(out, "little")
+
+
+def _pack(digits: Sequence[int], w: int) -> int:
+    """The digits, each below 2**64, as one int, digit i in the w-byte
+    lane at byte i w."""
+    lanes = array(_LANE_CODES[min(w, 8)], digits)
+    if _SWAP:
+        lanes.byteswap()
+    x = int.from_bytes(lanes, "little")
+    return x if w <= 8 else _widen(x, 8, w, len(digits))
+
+
+def _unpack(x: int, w: int, count: int) -> Sequence[int]:
+    """The count w-byte lanes of x, lowest first (``_pack`` undone)."""
+    raw = x.to_bytes(count * w, "little")
+    if w > 8:
+        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+    lanes = array(_LANE_CODES[w], raw)
+    if _SWAP:
+        lanes.byteswap()
+    return lanes
+
+
 def _shift(vals: list[int], a: int, n: int, p: int, inv_fact: list[int]) -> list[int]:
     """f(a), f(a+1), .. f(a+n-1) mod p for the f of degree d = len(vals) - 1
     with f(i) = vals[i] at i = 0..d, given 1/i! mod p for i <= d.
@@ -208,8 +256,8 @@ def _shift(vals: list[int], a: int, n: int, p: int, inv_fact: list[int]) -> list
     Lagrange: f(a+k) = prod_{j=0..d} (a+k-j) * sum_i c_i / (a+k-i), with
     c_i = f(i) / (i! (d-i)! (-1)**(d-i)).  The sum is coefficient k + d of
     the product of sum_i c_i X**i and sum_t X**t / (a-d+t), t < n + d,
-    taken as one big-int product of byte-aligned slots (Kronecker), each
-    wide enough for d + 1 terms below p**2.  Needs a-d+t != 0 mod p.
+    taken as one big-int product of the two packed (Kronecker), each lane
+    ``_lane_bytes`` wide for d + 1 terms below p**2.  Needs a-d+t != 0 mod p.
     """
     d = len(vals) - 1
     c = [(-1) ** (d - i) * f * inv_fact[i] * inv_fact[d - i] % p for i, f in enumerate(vals)]
@@ -221,16 +269,10 @@ def _shift(vals: list[int], a: int, n: int, p: int, inv_fact: list[int]) -> list
     for t in range(len(xs) - 1, -1, -1):
         inv_pre[t] = inv_pre[t + 1] * xs[t] % p
     w = [pre[t] * inv_pre[t + 1] % p for t in range(len(xs))]
-    width = (2 * p.bit_length() + (d + 1).bit_length() + 7) // 8
-    cx, wx = (
-        int.from_bytes(b"".join(y.to_bytes(width, "little") for y in ys), "little") for ys in (c, w)
-    )
-    buf = (cx * wx).to_bytes((n + 2 * d) * width, "little")
-    return [
-        int.from_bytes(buf[(k + d) * width : (k + d + 1) * width], "little")
-        * pre[k + d + 1] * inv_pre[k] % p
-        for k in range(n)
-    ]
+    v = _lane_bytes(p, (d + 1) * p * p)
+    # the product's slots d .. n + d - 1, moved down to 0 .. n - 1
+    s = _unpack(_pack(c, v) * _pack(w, v) >> 8 * v * d & (1 << 8 * v * n) - 1, v, n)
+    return [s[k] * pre[k + d + 1] * inv_pre[k] % p for k in range(n)]
 
 
 def _mark_step(p: int, e: int) -> int:
@@ -400,50 +442,6 @@ def _source(a: int, p: int, e: int, steps: int) -> array | _Checkpoints | None:
     if _checkpoint_cost(0, p, e) <= _LOOP_BUDGET and _checkpoint_cost(a, p, e) < steps:
         return _checkpoints(p, e)
     return None
-
-
-# Lanes of 1, 2, 4 and 8 bytes are written and read through an array of
-# that item size; wider ones are 8-byte lanes spread out (``_widen``).
-# Arrays hold native-order items, and lanes are little-endian.
-_LANE_CODES = {array(code).itemsize: code for code in "BHILQ"}
-_SWAP = sys.byteorder == "big"
-
-
-def _lane_bytes(p: int, pe: int) -> int:
-    """The fewest of 1, 2, 4, 8, ... bytes a lane that keep its top bit
-    clear for digits below p and hold values below pe."""
-    bits = max(p.bit_length() + 1, (pe - 1).bit_length())
-    return 1 << max((bits - 1).bit_length() - 3, 0)
-
-
-def _widen(x: int, v: int, w: int, count: int) -> int:
-    """x's count v-byte lanes moved to w-byte lanes, w > v: byte k of each
-    lane copied as one strided slice."""
-    raw = x.to_bytes(count * v, "little")
-    out = bytearray(count * w)
-    for k in range(v):
-        out[k::w] = raw[k::v]
-    return int.from_bytes(out, "little")
-
-
-def _pack(digits: Sequence[int], w: int) -> int:
-    """The digits as one int, digit i in the w-byte lane at byte i w."""
-    lanes = array(_LANE_CODES[min(w, 8)], digits)
-    if _SWAP:
-        lanes.byteswap()
-    x = int.from_bytes(lanes, "little")
-    return x if w <= 8 else _widen(x, 8, w, len(digits))
-
-
-def _unpack(x: int, w: int, count: int) -> Sequence[int]:
-    """The count w-byte lanes of x, lowest first (``_pack`` undone)."""
-    raw = x.to_bytes(count * w, "little")
-    if w > 8:
-        return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
-    lanes = array(_LANE_CODES[w], raw)
-    if _SWAP:
-        lanes.byteswap()
-    return lanes
 
 
 class _Lanes(NamedTuple):
@@ -891,8 +889,8 @@ def davis_webb_evaluate(
 ) -> tuple[int, EvalTrace | None]:
     """C(A, B) mod p**N via the width-N digit-window bracket product.
 
-    Works on plain base-p digits padded to a common length of at least N:
-    the leading bracket covers the top N digits, and each lower position
+    Works on plain base-p digits, which ``_walk`` pads to at least N: the
+    leading bracket covers the top N digits, and each lower position
     contributes the bracket of its N-digit window over the bracket of the
     (N-1)-digit window above it, its top N - 1 digits.  These are the
     theorem's block quotients at width N over groups of one digit each, so
@@ -902,7 +900,7 @@ def davis_webb_evaluate(
     """
     if _enter(A, B, p, N, not trace):
         return 0, None
-    a, b = _digit_pair(A, B, p, N)
+    a, b = _digit_pair(A, B, p)
     keyed = ([], []) if trace else None
     bounds = range(len(a) + 1)  # one digit a group
     m, unit = _walk(p, a, b, bounds, N, lambda x, y, k: _dw_bracket(x, y, k, p, N), keyed)

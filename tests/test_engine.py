@@ -48,6 +48,13 @@ def granville(a, b, p, e, t):
     return engine._granville(*_digit_pair(a, b, p), p, e, t)
 
 
+def padded_pair(A, B, p, width):
+    """A's and B's digits, both padded with zeros to at least width."""
+    a, b = _digit_pair(A, B, p)
+    pad = (0,) * (width - len(a))
+    return a + pad, b + pad
+
+
 def _batch_edge_pairs(rng, p, width, long_groups=False):
     """(positions, A, B) for seeded pairs whose walks at ``width`` have one
     position (zero-padded, and not), two, one batch - 1, one batch and one
@@ -278,6 +285,44 @@ class TestExactBinomMod:
             assert source.marks == want, p
             assert source[p - 1] == p - 1, p  # Wilson
 
+    @pytest.mark.parametrize(
+        "p, d, slot",
+        [(1000003, 40, 8), (2**31 - 1, 7, 9), (2**31 - 1, 200, 9), (2**61 - 1, 30, 16)],
+    )
+    def test_shift_against_lagrange(self, p, d, slot):
+        # seeded values of degree d shifted to n points, each against a
+        # direct Lagrange evaluation, at slots of 8, 9 and 16 bytes
+        assert engine._lane_bytes(p, (d + 1) * p * p) == slot
+        rng = random.Random(p + d)
+        inv_fact = [pow(math.factorial(i), -1, p) for i in range(d + 1)]
+        # the basis polynomial of node i is prod_{j != i} (x - j) / (i - j)
+        nodes = range(d + 1)
+        inv_den = [pow(math.prod(i - j for j in nodes if j != i), -1, p) for i in nodes]
+        for n in (1, d + 1, 3 * d):
+            vals = [rng.randrange(p) for _ in range(d + 1)]
+            a = rng.randrange(d + 1, p - n)  # a - d .. a + n - 1 all nonzero mod p
+            want = []
+            for x in range(a, a + n):
+                left, right = [1], [1]  # prod_{j < i} (x - j), prod_{j > d - i} (x - j)
+                for j in range(d + 1):
+                    left.append(left[-1] * (x - j) % p)
+                    right.append(right[-1] * (x - d + j) % p)
+                terms = (f * left[i] * right[d - i] * inv_den[i] for i, f in enumerate(vals))
+                want.append(sum(terms) % p)
+            assert engine._shift(vals, a, n, p, inv_fact) == want, (p, d, n)
+
+    def test_e1_read_past_eight_byte_slots(self, monkeypatch):
+        # p = 268435399 (v = 2**14): the late doublings' slots take 9
+        # bytes.  ((p - 1)/2)!**2 = (-1)**((p + 1)/2) mod p, from Wilson.
+        p = 268435399
+        widths = []
+        unpack = engine._unpack
+        monkeypatch.setattr(engine, "_unpack", lambda x, w, k: widths.append(w) or unpack(x, w, k))
+        source = engine._Checkpoints(p, 1)
+        assert max(widths) == 9
+        half = source[(p - 1) // 2]
+        assert half * half % p == (1 if (p + 1) // 2 % 2 == 0 else p - 1)
+
     @pytest.mark.parametrize("p", [16411, 65537, 84011])
     def test_e1_reads_every_x_against_prefix_products(self, p):
         # Reads up to (p - 1)/2 finish from the nearer mark; above it they
@@ -388,7 +433,7 @@ def check_lanes(A, B, p, w):
     ends = set(decompose(A, B, p).bounds)  # a group ends after each digit that does not borrow
     assert list(engine._unpack(lanes.flags, w, len(a))) == [i + 1 not in ends for i in range(len(a))]
     assert lanes.flags.bit_count() == _borrows(a, b)
-    c = _digit_pair(A - B, 0, p, len(a))[0]
+    c = padded_pair(A - B, 0, p, len(a))[0]
     assert list(engine._unpack(lanes.c, w, len(a))) == list(c)
     return a, b
 
@@ -422,7 +467,7 @@ class TestLanes:
         # digits near 0 and p - 1, so lanes run near their top bit; the
         # windows each side reads, logged, against the loops'
         want_w = {127: 1, 131: 2, 32749: 2, 32771: 4, 2**31 - 1: 4, 2**31 + 11: 8}
-        assert engine._lane_bytes(p, p) == want_w.get(p, 8 if p < 2**63 else 16)
+        assert engine._lane_bytes(p, p) == want_w.get(p, 8 if p < 2**63 else 9)
         rng = random.Random(p)
         near = [0, 1, 2, p - 3, p - 2, p - 1]
         for _ in range(40):
@@ -438,14 +483,16 @@ class TestLanes:
                 assert got.reads == want.reads
 
     def test_lanes_wider_than_eight_bytes(self):
-        # p = 2, e = 70: 16-byte lanes, read back through byte slices
-        assert engine._lane_bytes(2, 2**70) == 16
-        rng = random.Random(70)
-        t = engine._Checkpoints(2, 70)
-        for A, B in [(2**200 - 1, 4095), (2**150 + 2**75, 2**12 + 1)] + [
-            (rng.randrange(2**200), rng.randrange(2**12)) for _ in range(2)
-        ]:
-            assert granville(A, B, 2, 70, t) == engine._binom_loop(A, B, 2, 70)
+        # p = 2: lanes of exactly the bytes p**e needs past 8, read back
+        # through byte slices
+        for e, w in ((70, 9), (72, 9), (73, 10)):
+            assert engine._lane_bytes(2, 2**e) == w
+            rng = random.Random(e)
+            t = engine._Checkpoints(2, e)
+            for A, B in [(2**200 - 1, 4095), (2**150 + 2**75, 2**12 + 1)] + [
+                (rng.randrange(2**200), rng.randrange(2**12)) for _ in range(2)
+            ]:
+                assert granville(A, B, 2, e, t) == engine._binom_loop(A, B, 2, e)
 
     def test_narrow_lanes_handed_on(self):
         # the theorem's lanes, packed for p alone, are used where p**n fits
@@ -731,7 +778,7 @@ class TestDavisWebbEvaluate:
             for positions, A, B in _batch_edge_pairs(rng, p, N):
                 res, tr = davis_webb_evaluate(A, B, p, N)
                 assert [f.index for f in tr.factors] == list(range(positions - 1, -1, -1))
-                a, b = _digit_pair(A, B, p, N)
+                a, b = padded_pair(A, B, p, N)
                 bounds = range(len(a) + 1)
                 _assert_windows_are_blocks(tr, PseudoExpansion(p, a, b, bounds), N)
                 value = lambda x, y, k: engine._dw_bracket(x, y, k, p, N)
@@ -917,7 +964,7 @@ class TestTraceWindows:
                 for n in (1, 4):
                     N = pseudo_valuation(e) + n
                     _assert_windows_are_blocks(theorem_evaluate(A, B, p, N)[1], e, n)
-                    a, b = _digit_pair(A, B, p, N)
+                    a, b = padded_pair(A, B, p, N)
                     dw = PseudoExpansion(p, a, b, tuple(range(len(a) + 1)))
                     _assert_windows_are_blocks(davis_webb_evaluate(A, B, p, N)[1], dw, N)
 
@@ -1147,7 +1194,7 @@ def test_walks_value_each_distinct_window_once():
     A, B = _low_valuation_pair(rng, p, 3000, 2)
     engine._dw_bracket.cache_clear()
     davis_webb_evaluate(A, B, p, N, trace=False)
-    a, b = _digit_pair(A, B, p, N)
+    a, b = padded_pair(A, B, p, N)
     lower = {(a[i : i + N], b[i : i + N]) for i in range(len(a) - N)}
     info = engine._dw_bracket.cache_info()
     assert info.hits + info.misses == 2 * len(lower) + 1 < len(a) - N + 1
