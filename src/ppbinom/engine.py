@@ -787,39 +787,31 @@ def theorem_evaluate(
     B: int,
     p: int,
     N: int,
-    expansion: PseudoExpansion | None = None,
     trace: bool = True,
 ) -> tuple[int, EvalTrace | None]:
     """C(A, B) mod p**N via the pseudo-digit block-quotient product.
 
     The caller supplies only the modulus exponent N; the split N = n + m
     is derived from the valuation m, short-circuiting to 0 when m >= N.
-    An untraced call with no ``expansion`` first counts the borrows in
-    the low 8N digits and returns (0, None) when they reach N, without
-    converting or segmenting the rest; else it takes m from the borrow
-    flags of one lane subtraction (``_subtract``), at the width p needs,
-    and segments nothing unless it ends on the walk.  Pass a precomputed
-    ``expansion`` to amortize decomposition across several N (it always
-    takes the full path), and ``trace=False`` to skip building the factor
-    table: the unit then comes from one ``_granville`` pass over the
-    digits, or from the block walk where ``_source`` finds the unit
-    factorials not worth building.  An ``expansion`` for another p raises
-    ValueError.
+    A traced call segments the pair (``decompose``) and records each
+    factor of the walk over its groups.  An untraced call first counts
+    the borrows in the low 8N digits and returns (0, None) when they
+    reach N, without converting or segmenting the rest; else it takes m
+    from the borrow flags of one lane subtraction (``_subtract``), at the
+    width p needs, and the unit from one ``_granville`` pass over those
+    lanes, or from the block walk, which segments the pair, where
+    ``_source`` finds the unit factorials not worth building.
     """
-    if _enter(A, B, p, N, expansion is None and not trace):
+    if _enter(A, B, p, N, not trace):
         return 0, None
-    if expansion is not None and expansion.p != p:
-        raise ValueError(f"expansion is for p = {expansion.p}, not {p}")
-    if expansion is None and not trace:
+    if trace:
+        e = decompose(A, B, p)
+        a, b = e.a_digits, e.b_digits
+        m = pseudo_valuation(e)
+    else:
         a, b = _digit_pair(A, B, p)
         lanes = _subtract(a, b, p, _lane_bytes(p, p))
         m = lanes.flags.bit_count()
-    else:
-        lanes = None
-        if expansion is None:
-            expansion = decompose(A, B, p)
-        a, b = expansion.a_digits, expansion.b_digits
-        m = pseudo_valuation(expansion)
     if m >= N:
         tr = EvalTrace("theorem", p, N, 0, m, 1, 0, (), ()) if trace else None
         return 0, tr
@@ -829,9 +821,8 @@ def theorem_evaluate(
     # where the blocks' B values sum to under 3 B and C values to under 3 C.
     t = None if trace else _source(A, p, n, 4 * min(B, A - B))
     if t is None:
-        if expansion is None:
-            expansion = decompose(A, B, p)
-        v, unit = _walk(p, a, b, expansion.bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), keyed)
+        bounds = e.bounds if trace else decompose(A, B, p).bounds
+        v, unit = _walk(p, a, b, bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), keyed)
         assert v == _borrows(a, b), "factor valuations disagree with the borrow count"
     else:
         v, unit = _granville(a, b, p, n, t, lanes)

@@ -89,11 +89,10 @@ def test_acceptance_4_oracle_equivalence_sweep(capsys):
         mods = [p**N for N in range(1, 6)]
         for A, row in enumerate(pascal_rows(p**5, 400)):
             for B in range(A + 1):
-                e = decompose(A, B, p)
                 want_top = row[B]
                 for N, mod in enumerate(mods, start=1):
                     want = want_top % mod
-                    r1, _ = theorem_evaluate(A, B, p, N, expansion=e, trace=False)
+                    r1, _ = theorem_evaluate(A, B, p, N, trace=False)
                     r2, _ = davis_webb_evaluate(A, B, p, N, trace=False)
                     checked += 1
                     if r1 != want or r2 != want:
@@ -191,7 +190,7 @@ def test_acceptance_7_lucas_recovery(capsys):
         B = rng.randrange(A + 1)
         e = decompose(A, B, p)
         m = pseudo_valuation(e)
-        res, _ = theorem_evaluate(A, B, p, m + 1, expansion=e, trace=False)
+        res, _ = theorem_evaluate(A, B, p, m + 1, trace=False)
         unit = 1
         for f in theorem_factors(e, 1):
             unit = unit * f.value.unit % p
@@ -231,9 +230,9 @@ def test_acceptance_8_scale_property(capsys, monkeypatch):
 
 
 def test_acceptance_8_full_path(capsys):
-    # The untraced calls above exit after the low 8N digits; passing the
-    # expansion keeps the full decomposition of these pairs (m >= 4778)
-    # and the full path's m >= N short-circuit under the same bound.
+    # The untraced calls above exit after the low 8N digits; traced calls
+    # keep the full decomposition of these pairs (m >= 4778) and the full
+    # path's m >= N short-circuit under the same bound.
     t0 = time.perf_counter()
     rng = random.Random(8)
     slowest = 0.0
@@ -242,14 +241,14 @@ def test_acceptance_8_full_path(capsys):
         B = rng.randrange(A + 1)
         r8, _ = theorem_evaluate(A, B, 3, 8, trace=False)
         t1 = time.perf_counter()
-        e = decompose(A, B, 3)
-        full8, _ = theorem_evaluate(A, B, 3, 8, expansion=e, trace=False)
-        r10, _ = theorem_evaluate(A, B, 3, 10, expansion=e, trace=False)
+        full8, tr8 = theorem_evaluate(A, B, 3, 8)
+        r10, tr10 = theorem_evaluate(A, B, 3, 10)
         dt = time.perf_counter() - t1
         slowest = max(slowest, dt)
         assert dt < 1.0, f"pair took {dt:.3f}s"
         assert full8 == r8
         assert r10 % 3**8 == r8
+        assert tr8.m == tr10.m >= 4778
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         report("8 (full path)", elapsed, f"worst pair {slowest*1000:.1f}ms (bound 1s)")

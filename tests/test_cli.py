@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from helpers import from_digits
 
 from ppbinom import cli, engine
+from ppbinom.pseudo import decompose
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -224,8 +226,8 @@ class TestCompare:
     def test_corrupted_engine_disagrees(self, capsys, monkeypatch):
         original = engine.theorem_evaluate
 
-        def wrong(A, B, p, N, expansion=None, trace=True):
-            res, tr = original(A, B, p, N, expansion=expansion, trace=trace)
+        def wrong(A, B, p, N, trace=True):
+            res, tr = original(A, B, p, N, trace=trace)
             return (res + 1) % p**N, tr
 
         monkeypatch.setattr(cli.engine, "theorem_evaluate", wrong)
@@ -524,6 +526,31 @@ class TestBench:
         assert code == 0
         assert "oracle: skipped 2" in out
         assert "theorem: total" in out
+
+    def test_times_the_eval_call(self, capsys, monkeypatch):
+        # bench times the untraced call eval makes, and its length
+        # histogram comes from segmenting the same pairs outside the timer.
+        calls = []
+        original = engine.theorem_evaluate
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.engine, "theorem_evaluate", recording)
+        code, out, _ = run(
+            capsys, "bench", "--prime", "3", "-N", "4", "--digits", "12",
+            "--trials", "5", "--seed", "1",
+        )
+        assert code == 0 and len(calls) == 5
+        lengths = Counter()
+        for (A, B, p, N), kwargs in calls:
+            assert (p, N, kwargs) == (3, 4, {"trace": False})
+            assert 3**11 <= A < 3**12 and B <= A
+            bounds = decompose(A, B, 3).bounds
+            lengths.update(map(int.__sub__, bounds[1:], bounds[:-1]))
+        dist = " ".join(f"{k}:{v}" for k, v in sorted(lengths.items()))
+        assert f"pseudo-digit lengths: {dist}" in out.splitlines()
 
     def test_large_prime_needs_no_radix(self, capsys):
         # bench reads no A/B text, so p > 36 needs no --radix

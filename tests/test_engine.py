@@ -642,7 +642,7 @@ class TestTheoremEvaluate:
                 e = decompose(A, B, p)
                 m = pseudo_valuation(e)
                 assert (m > 0) == long_groups
-                res, tr = theorem_evaluate(A, B, p, m + n, expansion=e)
+                res, tr = theorem_evaluate(A, B, p, m + n)
                 assert (tr.m, tr.n) == (m, n)
                 assert [f.index for f in tr.factors] == list(range(positions - 1, -1, -1))
                 _assert_windows_are_blocks(tr, e, n)
@@ -651,17 +651,13 @@ class TestTheoremEvaluate:
                 assert walk == (m, tr.unit) and res == p**m * tr.unit % p ** (m + n)
                 assert theorem_evaluate(A, B, p, m + n, trace=False) == (res, None)
 
-    def test_expansion_reuse(self):
-        e = decompose(A3, B3, 3)
-        assert theorem_evaluate(A3, B3, 3, 5, expansion=e)[0] == 18
-
-    @pytest.mark.parametrize("trace", [True, False])
-    def test_expansion_for_another_prime(self, trace):
-        # C(10, 3) mod 25 is 20; the digits of a p = 3 expansion read at
-        # p = 5 give 5, so the prime is checked.
-        with pytest.raises(ValueError, match="expansion is for p = 3, not 5"):
-            theorem_evaluate(10, 3, 5, 2, expansion=decompose(10, 3, 3), trace=trace)
-        assert theorem_evaluate(10, 3, 5, 2, expansion=decompose(10, 3, 5), trace=trace)[0] == 20
+    def test_no_expansion_parameter(self):
+        # A caller's expansion used to be read as the pair's own: this one
+        # of (90, 41) gave 0, traced or not, where C(100, 37) mod 81 is 33.
+        # Every call now segments its own pair.
+        assert theorem_evaluate(100, 37, 3, 4)[0] == math.comb(100, 37) % 81 == 33
+        with pytest.raises(TypeError):
+            theorem_evaluate(100, 37, 3, 4, expansion=decompose(90, 41, 3))
 
     def test_errors(self):
         with pytest.raises(OrderViolation):
@@ -1033,7 +1029,7 @@ def test_traces_keep_each_body_once():
         for positions, A, B in _batch_edge_pairs(rng, p, n, long_groups):
             e = decompose(A, B, p)
             N = pseudo_valuation(e) + n
-            tr = theorem_evaluate(A, B, p, N, expansion=e)[1]
+            tr = theorem_evaluate(A, B, p, N)[1]
             assert len(tr.ids) == positions
             assert theorem_factors(e, n) == list(tr.factors)
             traces = [tr] if long_groups else [tr, davis_webb_evaluate(A, B, p, N)[1]]
@@ -1230,8 +1226,8 @@ def test_walk_valuation_is_checked(monkeypatch, trace):
         theorem_evaluate(A, 1, p, 2, trace=trace)
 
 
-def test_passed_expansion_reads_checkpoints(monkeypatch):
-    # An expansion passed in takes the full path; with m = 1 < N = 11 the
+def test_untraced_call_reads_checkpoints(monkeypatch):
+    # Past the early exit (one borrow), with m = 1 < N = 11, the untraced
     # pass reads unit factorials at (3, 10), above the table budget, from
     # checkpoints built for it, and evaluates no block binomial.
     calls = []
@@ -1244,10 +1240,9 @@ def test_passed_expansion_reads_checkpoints(monkeypatch):
     ad = [rng.randrange(p) for _ in range(400)] + [2, 0, 1]
     bd = [rng.randrange(d + 1) for d in ad[:400]] + [0, 1, 0]  # one borrow
     A, B = from_digits(ad, p), from_digits(bd, p)
-    e = decompose(A, B, p)
-    assert pseudo_valuation(e) == 1 and p ** (N - 1) > engine._TABLE_BUDGET
-    residue, tr = theorem_evaluate(A, B, p, N, expansion=e, trace=False)
+    assert pseudo_valuation(decompose(A, B, p)) == 1 and p ** (N - 1) > engine._TABLE_BUDGET
+    residue, tr = theorem_evaluate(A, B, p, N, trace=False)
     assert tr is None and not calls
     assert list(engine._checkpoint_cache) == [(p, N - 1)]
-    assert residue == theorem_evaluate(A, B, p, N, expansion=e)[0]
+    assert residue == theorem_evaluate(A, B, p, N)[0]
     assert residue == davis_webb_evaluate(A, B, p, N)[0]

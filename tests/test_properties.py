@@ -327,13 +327,13 @@ def _assert_quotients_and_residues(a, b, e, n, t):
     # every traced lower factor is the group quotient read from t, and the
     # untraced walk, which reads those quotients, gives the traced residue
     p, N = e.p, pseudo_valuation(e) + n
-    want, tr = theorem_evaluate(a, b, p, N, expansion=e)
+    want, tr = theorem_evaluate(a, b, p, N)
     for f in tr.factors[1:]:
         k = len(f.den_a) if f.den_a is not None else 0
         xa, xb = from_digits(f.num_a, p), from_digits(f.num_b, p)
         got = _group_quotient(xa, xb, len(f.num_a) - k, p, n, t)
         assert got == (f.value.valuation, f.value.unit), (a, b, p, n, f.index)
-    assert theorem_evaluate(a, b, p, N, expansion=e, trace=False) == (want, None)
+    assert theorem_evaluate(a, b, p, N, trace=False) == (want, None)
     assert want == math.comb(a, b) % p**N
 
 
