@@ -42,14 +42,13 @@ from typing import NamedTuple
 
 from .digits import _borrows, _digit_pair, _digits_of, _text, ensure_prime
 from .errors import NegativeValuation, TooLarge, _check_pair, describe_int
-from .pseudo import PseudoExpansion, decompose, pseudo_valuation
+from .pseudo import decompose, pseudo_valuation
 
 __all__ = [
     "ValuedUnit",
     "Factor",
     "EvalTrace",
     "exact_binom_mod",
-    "theorem_factors",
     "theorem_evaluate",
     "lucas_evaluate",
     "davis_webb_evaluate",
@@ -552,12 +551,6 @@ class Factor(NamedTuple):
 _Body = tuple  # a factor body: a Factor's fields after its index
 
 
-def _factors(bodies: Sequence[_Body], ids: Sequence[int]) -> tuple[Factor, ...]:
-    """The factors of a walk whose position top - j has body ids[j]."""
-    top = len(ids) - 1
-    return tuple(Factor(top - j, *bodies[d]) for j, d in enumerate(ids))
-
-
 @dataclass(frozen=True, slots=True)
 class EvalTrace:
     """Factor bodies plus the bookkeeping that turns them into a residue.
@@ -581,8 +574,9 @@ class EvalTrace:
 
     @property
     def factors(self) -> tuple[Factor, ...]:
-        """The factors, most significant first."""
-        return _factors(self.bodies, self.ids)
+        """The factors, most significant first: position top - j has body ids[j]."""
+        top = len(self.ids) - 1
+        return tuple(Factor(top - j, *self.bodies[d]) for j, d in enumerate(self.ids))
 
 
 # A walk folds its positions this many at a time: a batch tallies most
@@ -742,22 +736,6 @@ def _walk(
     return v, num
 
 
-def theorem_factors(e: PseudoExpansion, n: int) -> list[Factor]:
-    """The block-quotient factors at width n, most significant first.
-
-    The leading factor is the binomial of the top n pseudo-digit blocks
-    (zero-padded when the expansion is shorter than n); each further
-    position i contributes C(block(i, n)) / C(block(i+1, n-1)).  For
-    n = 1 the denominators are empty products and are omitted.
-    """
-    if n < 1:
-        raise ValueError("block width n must be >= 1")
-    keyed: tuple[list[_Body], list[int]] = ([], [])
-    p = e.p
-    _walk(p, e.a_digits, e.b_digits, e.bounds, n, lambda x, y, k: _binom_vu(x, y, p, n), keyed)
-    return list(_factors(*keyed))
-
-
 def _low_borrows_reach(A: int, B: int, p: int, N: int) -> bool:
     """Whether A - B borrows at least N times in its low 8N base-p
     digits, so that p**N divides C(A, B) (Kummer).
@@ -794,13 +772,18 @@ def theorem_evaluate(
     The caller supplies only the modulus exponent N; the split N = n + m
     is derived from the valuation m, short-circuiting to 0 when m >= N.
     A traced call segments the pair (``decompose``) and records each
-    factor of the walk over its groups.  An untraced call first counts
-    the borrows in the low 8N digits and returns (0, None) when they
-    reach N, without converting or segmenting the rest; else it takes m
-    from the borrow flags of one lane subtraction (``_subtract``), at the
-    width p needs, and the unit from one ``_granville`` pass over those
-    lanes, or from the block walk, which segments the pair, where
-    ``_source`` finds the unit factorials not worth building.
+    factor of the walk over its groups, at width n, most significant
+    first.  The leading factor is the binomial of the top n pseudo-digit
+    blocks (zero-padded when the expansion is shorter than n); each
+    further position i contributes C(block(i, n)) / C(block(i+1, n-1)).
+    For n = 1 the denominators are empty products and are omitted.  An
+    untraced call first counts the borrows in the low 8N digits and
+    returns (0, None) when they reach N, without converting or segmenting
+    the rest; else it takes m from the borrow flags of one lane
+    subtraction (``_subtract``), at the width p needs, and the unit from
+    one ``_granville`` pass over those lanes, or from the block walk,
+    which segments the pair, where ``_source`` finds the unit factorials
+    not worth building.
     """
     if _enter(A, B, p, N, not trace):
         return 0, None

@@ -88,27 +88,20 @@ def pseudo_valuation(e: PseudoExpansion) -> int:
     return len(e.a_digits) - e.num_pairs
 
 
-def _span(e: PseudoExpansion, i: int, length: int) -> tuple[int, int, int]:
-    """(lo, hi, groups) of groups i .. i+length-1: the digit offsets of
-    the part below the top, and how many real groups it holds; the other
-    length - groups are padding above the top."""
-    if length < 1:
-        raise EmptyBlock("blocks span at least one pseudo-digit")
-    if i < 0:
-        raise IndexError(f"block start {i} is negative")
-    np = len(e.bounds) - 1
-    lo, hi = min(i, np), min(i + length, np)
-    return e.bounds[lo], e.bounds[hi], hi - lo
-
-
 def block(e: PseudoExpansion, i: int, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Little-endian digits of groups i .. i+length-1 on both sides.
 
     Groups above the top index contribute a single zero digit each, which
     is the padding the leading block of a short expansion needs.
     """
-    lo, hi, groups = _span(e, i, length)
-    pad = (0,) * (length - groups)
+    if length < 1:
+        raise EmptyBlock("blocks span at least one pseudo-digit")
+    if i < 0:
+        raise IndexError(f"block start {i} is negative")
+    np = len(e.bounds) - 1
+    lo, hi = min(i, np), min(i + length, np)
+    pad = (0,) * (length - (hi - lo))
+    lo, hi = e.bounds[lo], e.bounds[hi]
     return e.a_digits[lo:hi] + pad, e.b_digits[lo:hi] + pad
 
 
@@ -118,5 +111,4 @@ def block_valuation(e: PseudoExpansion, i: int, length: int) -> int:
     Equals the p-adic valuation of the block binomial C(a-block, b-block);
     padded zero groups above the top contribute nothing.
     """
-    lo, hi, groups = _span(e, i, length)
-    return (hi - lo) - groups
+    return len(block(e, i, length)[0]) - length

@@ -17,7 +17,6 @@ from ppbinom.engine import (
     davis_webb_evaluate,
     lucas_evaluate,
     theorem_evaluate,
-    theorem_factors,
 )
 from ppbinom.oracle import binom_exact, kummer_valuation, pascal_rows
 from ppbinom.pseudo import block_valuation, decompose, pseudo_valuation
@@ -151,8 +150,8 @@ def test_acceptance_5_valuation_triple_agreement(capsys):
 def test_acceptance_6_lemma_factor_valuations(capsys):
     t0 = time.perf_counter()
     rng = random.Random(20260810)
-    # theorem_factors evaluates every block, so the whole number stays
-    # small enough that even a single-group block is desk-sized
+    # the traced theorem at N = n + m evaluates every block, so the whole
+    # number stays small enough that even a single-group block is desk-sized
     max_digits = {2: 18, 3: 11, 5: 8, 7: 7}
     for _ in range(10_000):
         p = rng.choice((2, 3, 5, 7))
@@ -161,7 +160,8 @@ def test_acceptance_6_lemma_factor_valuations(capsys):
         B = rng.randrange(A + 1)
         n = rng.randrange(1, 6)
         e = decompose(A, B, p)
-        factors = theorem_factors(e, n)  # no traced quotient may go negative
+        N = pseudo_valuation(e) + n
+        factors = theorem_evaluate(A, B, p, N)[1].factors  # no quotient may go negative
         lead = factors[0]
         assert lead.value.valuation == block_valuation(e, lead.index, n)
         total = lead.value.valuation
@@ -192,7 +192,7 @@ def test_acceptance_7_lucas_recovery(capsys):
         m = pseudo_valuation(e)
         res, _ = theorem_evaluate(A, B, p, m + 1, trace=False)
         unit = 1
-        for f in theorem_factors(e, 1):
+        for f in theorem_evaluate(A, B, p, m + 1)[1].factors:
             unit = unit * f.value.unit % p
         assert res == p**m * unit % p ** (m + 1)
     elapsed = time.perf_counter() - t0

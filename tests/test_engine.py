@@ -7,7 +7,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from helpers import from_digits
+from helpers import from_digits, width_factors
 
 from ppbinom import cli, engine
 from ppbinom.digits import _borrows, _digit_pair, _text, parse_natural
@@ -21,7 +21,6 @@ from ppbinom.engine import (
     format_trace_text,
     lucas_evaluate,
     theorem_evaluate,
-    theorem_factors,
 )
 from ppbinom.errors import NegativeValuation, NotPrime, OrderViolation, TooLarge
 from ppbinom.oracle import binom_exact, kummer_valuation
@@ -538,8 +537,7 @@ class TestLanes:
 
 class TestTheoremFactors:
     def test_worked_factor_blocks(self):
-        e = decompose(A3, B3, 3)
-        factors = theorem_factors(e, 3)
+        factors = width_factors(A3, B3, 3, 3)
         blocks = [
             (_text(f.num_a), _text(f.num_b), _text(f.den_a) if f.den_a else None)
             for f in factors
@@ -554,8 +552,7 @@ class TestTheoremFactors:
         ]
 
     def test_worked_factor_values(self):
-        e = decompose(A3, B3, 3)
-        factors = theorem_factors(e, 3)
+        factors = width_factors(A3, B3, 3, 3)
         nums = [f.num_value.value_mod() for f in factors]
         dens = [f.den_value.value_mod() if f.den_value else None for f in factors]
         assert nums == [8, 14, 23, 30, 45, 90]
@@ -563,16 +560,14 @@ class TestTheoremFactors:
         assert [f.value.valuation for f in factors] == [0, 0, 0, 1, 1, 0]
 
     def test_base_case_single_factor(self):
-        e = decompose(10, 5, 2)
-        factors = theorem_factors(e, 2)
+        factors = width_factors(10, 5, 2, 2)
         assert len(factors) == 1
         f = factors[0]
         assert (_text(f.num_a), _text(f.num_b)) == ("1010", "0101")
         assert f.den_a is None
 
     def test_width_one_has_empty_denominators(self):
-        e = decompose(10, 5, 2)
-        factors = theorem_factors(e, 1)
+        factors = width_factors(10, 5, 2, 1)
         assert [(_text(f.num_a), _text(f.num_b)) for f in factors] == [
             ("10", "01"),
             ("10", "01"),
@@ -586,7 +581,7 @@ class TestTheoremFactors:
     def test_quotient_valuation_is_pair_valuation(self):
         e = decompose(A3, B3, 3)
         for n in (1, 2, 3, 4):
-            factors = theorem_factors(e, n)
+            factors = width_factors(A3, B3, 3, n)
             lead, rest = factors[0], factors[1:]
             assert lead.value.valuation == block_valuation(e, lead.index, n)
             for f in rest:
@@ -1031,7 +1026,6 @@ def test_traces_keep_each_body_once():
             N = pseudo_valuation(e) + n
             tr = theorem_evaluate(A, B, p, N)[1]
             assert len(tr.ids) == positions
-            assert theorem_factors(e, n) == list(tr.factors)
             traces = [tr] if long_groups else [tr, davis_webb_evaluate(A, B, p, N)[1]]
             for tr in traces:
                 assert len(set(tr.bodies)) == len(tr.bodies)
@@ -1085,6 +1079,42 @@ class TestEarlyExit:
                     assert theorem_evaluate(a, b, p, N, trace=False) == (t, None)
                     d = davis_webb_evaluate(a, b, p, N)[0]
                     assert davis_webb_evaluate(a, b, p, N, trace=False) == (d, None)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_gate_at_the_window_edge(self, p, N):
+        # A = p**(8N) - 1, p**(8N), p**(8N) + 1: the window's edge, where at
+        # p = 2 A's bit length reaches the window's 8N digits.  A = p**(8N)
+        # - p**(7N) adds a pair below the edge whose digits 7N-1 and 7N-2
+        # are zeros, so that it borrows too.  B = c p**j + r starts a borrow
+        # at digit j, from 7N - 2 up past the window, and r = 1 at digit 0:
+        # m runs below, at and above N.  Digit 8N - 1 is the window's last;
+        # digit 8N, the first outside, is A's top here and never borrows.
+        def low_borrows(a, b, k):
+            count = borrow = 0
+            for _ in range(k):
+                borrow = a % p - b % p - borrow < 0
+                count += borrow
+                a, b = a // p, b // p
+            return count
+
+        rng = random.Random(8 * N + p)
+        edge = p ** (8 * N)
+        for A in (edge - p ** (7 * N), edge - 1, edge, edge + 1):
+            bs = {0, 1, A - 1, A, *(rng.randrange(A + 1) for _ in range(8))}
+            bs.update(c * p**j + r for j in range(7 * N - 2, 8 * N + 1)
+                      for c in range(1, p) for r in (0, 1))
+            for B in sorted(x for x in bs if x <= A):
+                m = kummer_valuation(A, B, p)
+                fires = engine._low_borrows_reach(A, B, p, N)
+                assert fires == (low_borrows(A, B, 8 * N) >= N), (A, B)
+                assert m >= N or not fires, (A, B)
+                if A < edge:
+                    assert fires == (m >= N), (A, B)
+                t = theorem_evaluate(A, B, p, N)[0]
+                assert theorem_evaluate(A, B, p, N, trace=False) == (t, None)
+                d = davis_webb_evaluate(A, B, p, N)[0]
+                assert davis_webb_evaluate(A, B, p, N, trace=False) == (d, None)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_random_pair_converts_only_the_window(self, p, decompose_calls):

@@ -19,7 +19,7 @@ SURFACE = {
     "parse_natural", "to_base_p",
     "is_prime", "ensure_prime",
     "PseudoExpansion", "decompose", "pseudo_valuation", "block", "block_valuation",
-    "ValuedUnit", "Factor", "EvalTrace", "exact_binom_mod", "theorem_factors",
+    "ValuedUnit", "Factor", "EvalTrace", "exact_binom_mod",
     "theorem_evaluate", "lucas_evaluate", "davis_webb_evaluate",
     "format_trace_text", "format_trace_records",
     "binom_exact", "binom_mod_pascal", "kummer_valuation", "pascal_rows",
@@ -44,5 +44,5 @@ def test_package_reexports_module_objects():
 
 
 def test_package_surface():
-    assert len(ppbinom.__all__) == len(SURFACE) == 25
+    assert len(ppbinom.__all__) == len(SURFACE) == 24
     assert set(ppbinom.__all__) == SURFACE

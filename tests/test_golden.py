@@ -44,10 +44,12 @@ def test_outputs_digest():
     assert h.hexdigest() == GOLDEN
 
 
-CLI_GOLDEN = "2d1adb942e54237ec0ac046712f519f93d35379bdfd4d3e91062f5eae9fee676"
+CLI_GOLDEN = "e512d248bb17af5a73af7e0e30b6e3d6f12dae4e6edb33a52f5ee40fad1b9460"
 
 # Exit code, stdout and stderr of each invocation go into CLI_GOLDEN,
-# less bench's timing line.
+# less bench's timing line.  An unknown --method is checked apart
+# (test_cli_unknown_method): argparse words its error differently across
+# Python versions.
 _CLI_CASES = [
     # README and acceptance goldens
     ("decompose", "--prime", "5", "432321433012", "323411244003"),
@@ -95,7 +97,6 @@ _CLI_CASES = [
     ("compare", "--prime", "3", "-N", "10000", "1", "0"),
     ("decompose", "--prime", "3", "--mod-exp", "2", "12", "1"),
     ("bench", "--prime", "3", "--radix", "10", "--trials", "1"),
-    ("eval", "--prime", "3", "--method", "nonsense", "1", "0"),
     # bench, with its timing line masked
     ("bench", "--prime", "2", "-N", "3", "--digits", "12", "--trials", "30", "--seed", "9"),
     ("bench", "--prime", "37", "--digits", "3", "--trials", "2"),
@@ -117,3 +118,15 @@ def test_cli_digest(capsys, monkeypatch):
         )
         h.update(f"{' '.join(argv)}\0{code}\0{out}\0{err}\0".encode())
     assert h.hexdigest() == CLI_GOLDEN
+
+
+def test_cli_unknown_method(capsys):
+    try:
+        code = cli.main(["eval", "--prime", "3", "--method", "nonsense", "1", "0"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(
+        "ppbinom eval: error: argument --method: invalid choice: 'nonsense'"
+    )

@@ -10,7 +10,7 @@ reproducible.
 import math
 import random
 
-from helpers import from_digits
+from helpers import from_digits, width_factors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,6 @@ from ppbinom.engine import (
     exact_binom_mod,
     lucas_evaluate,
     theorem_evaluate,
-    theorem_factors,
 )
 from ppbinom.oracle import kummer_valuation
 from ppbinom.pseudo import block, block_valuation, decompose, pseudo_valuation
@@ -156,8 +155,8 @@ def test_metamorphic_precision():
 
 
 def test_factor_valuations_lemma_random():
-    # theorem_factors has no short-circuit, so block values are capped by
-    # keeping the whole number small: worst block <= p**digits
+    # the traced theorem at N = n + m has no short-circuit, so block values
+    # are capped by keeping the whole number small: worst block <= p**digits
     rng = random.Random(2718)
     digit_cap = {2: 18, 3: 11, 5: 8}
     for _ in range(300):
@@ -166,7 +165,7 @@ def test_factor_valuations_lemma_random():
         b = rng.randrange(a + 1)
         n = rng.randrange(1, 5)
         e = decompose(a, b, p)
-        factors = theorem_factors(e, n)
+        factors = width_factors(a, b, p, n)
         lead = factors[0]
         assert lead.value.valuation == block_valuation(e, lead.index, n)
         total = lead.value.valuation
@@ -185,8 +184,7 @@ def test_unit_depends_only_on_residues():
         a = rng.randrange(p ** digit_cap[p])
         b = rng.randrange(a + 1)
         n = rng.randrange(1, 4)
-        e = decompose(a, b, p)
-        factors = theorem_factors(e, n)
+        factors = width_factors(a, b, p, n)
         pe = p**n
         combined = 1
         redone = 1
@@ -300,10 +298,9 @@ def test_rolled_block_values_match_block_windows():
     for _ in range(40):
         p = rng.choice((3, 5))
         a, b = _long_group_pair(rng, p, rng.randrange(10, 16))
-        e = decompose(a, b, p)
         for n in range(1, 5):
             _assert_values_match_windows(
-                theorem_factors(e, n),
+                width_factors(a, b, p, n),
                 lambda x, y: _binom_vu(from_digits(x, p), from_digits(y, p), p, n),
             )
 
